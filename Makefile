@@ -2,7 +2,7 @@
 # ocamlformat is available — the sealed container does not ship it),
 # and the full test suite.
 
-.PHONY: all build test fmt check bench batch-bench generator-bench golden-update fuzz isegen-fuzz faults parallel-stress metrics-smoke daemon-smoke chaos clean
+.PHONY: all build test fmt check bench batch-bench generator-bench golden-update fuzz isegen-fuzz faults parallel-stress metrics-smoke daemon-smoke chaos perfbench-selftest clean
 
 all: build
 
@@ -107,6 +107,14 @@ daemon-smoke: build
 CHAOS_SEED ?= 42
 chaos: build
 	CHAOS_SEED=$(CHAOS_SEED) sh scripts/chaos_smoke.sh
+
+# Benchmark self-test (perfbench/): reduced-size runs of every
+# workload, requiring each metric BENCHMARK.json declares to be printed
+# with its unit and each output check to catch a planted bad answer, so
+# a library change that stops the benchmark reporting a metric fails
+# here rather than at the next benchmark run.
+perfbench-selftest:
+	bash perfbench/run.sh selftest
 
 clean:
 	dune clean

@@ -198,10 +198,20 @@ let obs_term =
     const obs_setup $ trace_file_arg $ log_level_arg $ log_json_arg
     $ metrics_out_arg $ deadline_arg $ max_nodes_arg $ fault_spec_arg)
 
+(* The registry's movement since the command started: what
+   --metrics-out writes and --stats prints.  Snapshot delta, not
+   reset-then-read: epoch-safe even while pool workers are still
+   reporting (see Obs.Snapshot). *)
+let obs_delta obs =
+  Obs.Snapshot.delta ~before:obs.baseline ~after:(Obs.Snapshot.take ())
+
+let pp_stats fmt obs =
+  let d = obs_delta obs in
+  Format.fprintf fmt "@.--- telemetry ---@.%a@.--- histograms ---@.%a"
+    Obs.Snapshot.pp_telemetry d Obs.Snapshot.pp_histograms d
+
 let metrics_json obs =
-  (* Snapshot delta, not reset-then-read: epoch-safe even while pool
-     workers are still reporting (see Obs.Snapshot). *)
-  let d = Obs.Snapshot.delta ~before:obs.baseline ~after:(Obs.Snapshot.take ()) in
+  let d = obs_delta obs in
   Printf.sprintf "{\"telemetry\": %s, \"histograms\": %s}\n"
     (Obs.Snapshot.telemetry_json d)
     (Obs.Snapshot.histograms_json d)
@@ -256,14 +266,6 @@ let with_jobs_pool jobs f =
 
 let apply_no_cache no_cache = if no_cache then Engine.Cache.set_enabled false
 
-let print_stats stats =
-  if stats then begin
-    Format.fprintf fmt "@.--- telemetry ---@.";
-    Engine.Telemetry.pp_table fmt ();
-    Format.fprintf fmt "@.--- histograms ---@.";
-    Engine.Histogram.pp_table fmt ()
-  end
-
 (* ------------------------------------------------------------------ *)
 
 let kernels_cmd =
@@ -312,7 +314,7 @@ let curve_cmd =
           p.cycles
           (base /. float_of_int p.cycles))
       (Isa.Config.points curve);
-    print_stats stats;
+    if stats then pp_stats fmt obs;
     obs_finish obs;
     Format.pp_print_flush fmt ()
   in
@@ -502,7 +504,7 @@ let experiment_cmd =
                | None -> e.run ())
            in
            Experiments.Report.render fmt result;
-           print_stats stats;
+           if stats then pp_stats fmt obs;
            obs_finish obs
          | None ->
            Format.eprintf "unknown experiment %s@." id;
@@ -566,10 +568,7 @@ let profile_cmd =
           result.elapsed;
         Format.fprintf fmt "@.--- span tree ---@.";
         Engine.Trace.pp_tree fmt ();
-        Format.fprintf fmt "@.--- histograms ---@.";
-        Engine.Histogram.pp_table fmt ();
-        Format.fprintf fmt "@.--- telemetry ---@.";
-        Engine.Telemetry.pp_table fmt ()
+        pp_stats fmt obs
       end;
       obs_finish obs;
       Format.pp_print_flush fmt ()
@@ -830,12 +829,7 @@ let batch_cmd =
        Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> emit oc));
     Option.iter (fun s -> Format.eprintf "%a@." Batch.Service.pp_stats s) stats;
     (* responses own stdout, so the telemetry dump goes to stderr here *)
-    if stats_flag then begin
-      Format.eprintf "@.--- telemetry ---@.";
-      Engine.Telemetry.pp_table Format.err_formatter ();
-      Format.eprintf "@.--- histograms ---@.";
-      Engine.Histogram.pp_table Format.err_formatter ()
-    end;
+    if stats_flag then pp_stats Format.err_formatter obs;
     obs_finish obs;
     let errors = List.length indexed - List.length oks in
     if errors > 0 then begin

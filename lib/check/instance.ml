@@ -83,10 +83,10 @@ let pp fmt t =
     (List.length t.dfg.edges)
 
 let to_json t =
-  let open Engine.Jsonx in
+  let open Obs.Jsonx in
   obj
     [ ("budget", string_of_int t.budget);
-      (* %.17g round-trips doubles exactly; Jsonx.float's %.6f would
+      (* %.17g round-trips doubles exactly; Obs.Jsonx.float's %.6f would
          change eps across a repro write/read cycle *)
       ("eps", Printf.sprintf "%.17g" t.eps);
       ( "tasks",

@@ -223,7 +223,7 @@ let decode_instance j =
 (* Emission — the exact inverse of [parse] on the repro/batch schema *)
 (* ---------------------------------------------------------------- *)
 
-(* Matches the conventions of Engine.Jsonx / Instance.to_json: integral
+(* Matches the conventions of Obs.Jsonx / Instance.to_json: integral
    doubles in [-2^53, 2^53] print in integer form (as [string_of_int]
    would), everything else via %.17g so doubles survive a round trip.
    Consequently [to_string (parse (to_string j)) = to_string j]. *)
@@ -237,12 +237,12 @@ let rec to_string = function
   | Null -> "null"
   | Bool b -> if b then "true" else "false"
   | Num f -> num_to_string f
-  | Str s -> Engine.Jsonx.string s
+  | Str s -> Obs.Jsonx.string s
   | Arr vs -> "[" ^ String.concat ", " (List.map to_string vs) ^ "]"
   | Obj fields ->
     "{"
     ^ String.concat ", "
-        (List.map (fun (k, v) -> Engine.Jsonx.string k ^ ": " ^ to_string v) fields)
+        (List.map (fun (k, v) -> Obs.Jsonx.string k ^ ": " ^ to_string v) fields)
     ^ "}"
 
 let num_int i = Num (float_of_int i)
@@ -284,9 +284,9 @@ let version = 1
 
 let write ~file ~prop ~seed inst =
   let body =
-    Engine.Jsonx.obj
+    Obs.Jsonx.obj
       [ ("version", string_of_int version);
-        ("prop", Engine.Jsonx.string prop);
+        ("prop", Obs.Jsonx.string prop);
         ("seed", string_of_int seed);
         ("instance", Instance.to_json inst) ]
   in

@@ -40,7 +40,7 @@ val run : ?fmt:Format.formatter -> ?props:Prop.t list -> config -> summary
     stopping a property at its first failure (which is then shrunk and
     persisted).  Progress and failures go to [fmt] (default a null
     formatter) and to {!Engine.Log}; counters land in
-    {!Engine.Telemetry} ([check.cases], [check.failures]).  [props]
+    [Obs.Metrics] ([check.cases], [check.failures]).  [props]
     overrides the suite selection (the self-test injects a broken
     solver this way). *)
 

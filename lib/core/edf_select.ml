@@ -59,8 +59,8 @@ let run ~budget tasks =
     ~attrs:
       [ ("tasks", string_of_int (List.length tasks));
         ("budget", string_of_int budget) ]
+    ~timer:"edf.select"
   @@ fun () ->
-  Engine.Telemetry.time "edf.select" @@ fun () ->
   Obs.Metrics.inc ~labels:[ ("solver", "edf") ] "solver.runs";
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
@@ -68,8 +68,7 @@ let run ~budget tasks =
   else begin
     let delta = granularity ~budget (Array.to_list tasks) in
     let cells = (budget / delta) + 1 in
-    Engine.Telemetry.add "edf.dp_cells" (n * cells);
-    Engine.Histogram.observe "edf.dp_cells" (float_of_int (n * cells));
+    Obs.Metrics.inc ~by:(float_of_int (n * cells)) "edf.dp_cells";
     let choice = dp_tables ~delta ~cells tasks in
     traceback ~delta ~choice tasks (cells - 1)
   end
@@ -85,9 +84,9 @@ let run_sweep ~budgets tasks =
       ~attrs:
         [ ("tasks", string_of_int (List.length tasks));
           ("budgets", string_of_int (List.length budgets)) ]
+      ~timer:"edf.select"
     @@ fun () ->
-    Engine.Telemetry.time "edf.select" @@ fun () ->
-    Engine.Telemetry.incr "edf.sweeps";
+    Obs.Metrics.inc "edf.sweeps";
     Obs.Metrics.inc ~labels:[ ("solver", "edf_sweep") ] "solver.runs";
     let tasks = Array.of_list tasks in
     let n = Array.length tasks in
@@ -103,8 +102,7 @@ let run_sweep ~budgets tasks =
         max 1 (Util.Numeric.gcd_list (budgets @ positive_areas (Array.to_list tasks)))
       in
       let cells = (max_budget / delta) + 1 in
-      Engine.Telemetry.add "edf.dp_cells" (n * cells);
-      Engine.Histogram.observe "edf.dp_cells" (float_of_int (n * cells));
+      Obs.Metrics.inc ~by:(float_of_int (n * cells)) "edf.dp_cells";
       let choice = dp_tables ~delta ~cells tasks in
       List.map (fun b -> traceback ~delta ~choice tasks (b / delta)) budgets
     end

@@ -59,9 +59,8 @@ val active : unit -> bool
 val fires : string -> bool
 (** Draw for the named point: [true] if it fires now.  For failure modes
     that are not exceptions (e.g. a torn write).  A fire counts against
-    the point's cap, bumps ["fault.injected"] and
-    ["fault.injected.<point>"] in {!Telemetry} and logs at debug
-    level. *)
+    the point's cap, bumps the ["fault.injected"] counter (labeled
+    [point]) in [Obs.Metrics] and logs at debug level. *)
 
 val inject : string -> unit
 (** [fires] turned into a crash: raise {!Injected} when the point

@@ -56,10 +56,11 @@ let emit l message =
       | None -> ()
       | Some oc ->
         output_string oc
-          (Jsonx.obj
-             [ ("ts", Jsonx.float ts);
-               ("level", Jsonx.string (string_of_level l));
-               ("msg", Jsonx.string message) ]);
+          Obs.Jsonx.(
+            obj
+              [ ("ts", float ts);
+                ("level", string (string_of_level l));
+                ("msg", string message) ]);
         output_char oc '\n';
         flush oc)
 

@@ -99,7 +99,7 @@ let observe_occupancy t =
   Array.iteri
     (fun i s ->
       let len = float_of_int (with_lock s (fun () -> Hashtbl.length s.table)) in
-      Histogram.observe "memo.shard_occupancy" len;
+      Obs.Metrics.observe "memo.shard_occupancy" len;
       Obs.Metrics.set
         ~labels:[ ("namespace", t.namespace); ("shard", string_of_int i) ]
         "memo.shard_items" len)

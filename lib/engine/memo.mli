@@ -12,7 +12,7 @@
     shard probes the cache before giving up; a spill hit is promoted
     back into its shard.  Lookups count ["memo.hits"] /
     ["memo.misses"] / ["memo.spill_hits"] / ["memo.stores"] in
-    {!Telemetry}. *)
+    [Obs.Metrics]. *)
 
 type t
 
@@ -37,7 +37,7 @@ val size : t -> int
 
 val observe_occupancy : t -> unit
 (** Record each shard's resident entry count into the
-    ["memo.shard_occupancy"] {!Histogram} — a flat distribution means
+    ["memo.shard_occupancy"] histogram — a flat distribution means
     the hash prefix is spreading keys evenly. *)
 
 val clear : t -> unit

@@ -10,11 +10,10 @@
 type labels = (string * string) list
 type kind = Counter | Gauge | Hist
 
-(* Histogram cells use the same geometric buckets the standalone
-   Engine.Histogram introduced: ratio 2^(1/8), bucket [i] covering
-   [2^((i-offset)/8), 2^((i-offset+1)/8)).  480 buckets span 2^-30 to
-   2^30 — nanoseconds to decades in seconds, or counts up to ~1e9 —
-   and anything outside clamps into the end buckets. *)
+(* Histogram cells use geometric buckets of ratio 2^(1/8), bucket [i]
+   covering [2^((i-offset)/8), 2^((i-offset+1)/8)).  480 buckets span
+   2^-30 to 2^30 — nanoseconds to decades in seconds, or counts up to
+   ~1e9 — and anything outside clamps into the end buckets. *)
 let sub_buckets = 8
 let bucket_offset = 30 * sub_buckets
 let n_buckets = 2 * bucket_offset
@@ -150,9 +149,10 @@ let declare ?help ?(unit_s = false) kind name =
       | None -> note_clash ())
 
 let inc ?(labels = []) ?(by = 1.) name =
-  with_cell ~kind:Counter ~unit_s:false name labels (function
-    | Num r -> r := !r +. by
-    | Hc _ -> ())
+  if by <> 0. then
+    with_cell ~kind:Counter ~unit_s:false name labels (function
+      | Num r -> r := !r +. by
+      | Hc _ -> ())
 
 let inc_s ?(labels = []) name dt =
   with_cell ~kind:Counter ~unit_s:true name labels (function
@@ -176,12 +176,6 @@ let observe ?(labels = []) name v =
         if v < h.hmn then h.hmn <- v;
         if v > h.hmx then h.hmx <- v
       | Num _ -> ())
-
-let time ?labels name f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () -> observe ?labels name (Unix.gettimeofday () -. t0))
-    f
 
 (* ------------------------------------------------------------------ *)
 (* Reads.                                                             *)
@@ -299,14 +293,4 @@ let dump () =
         registry [])
   |> List.sort (fun a b -> String.compare a.fam_name b.fam_name)
 
-let reset ?kind () =
-  protect (fun () ->
-      match kind with
-      | None -> Hashtbl.reset registry
-      | Some k ->
-        let doomed =
-          Hashtbl.fold
-            (fun n f acc -> if f.kind = k then n :: acc else acc)
-            registry []
-        in
-        List.iter (Hashtbl.remove registry) doomed)
+let reset () = protect (fun () -> Hashtbl.reset registry)

@@ -35,7 +35,8 @@ val declare : ?help:string -> ?unit_s:bool -> kind -> string -> unit
 
 val inc : ?labels:labels -> ?by:float -> string -> unit
 (** Add [by] (default 1) to a counter cell, creating family and cell
-    on first use. *)
+    on first use.  Adding [0.] is a no-op that creates nothing, so a
+    counter family appears only once it has counted something. *)
 
 val inc_s : ?labels:labels -> string -> float -> unit
 (** Add a duration in seconds to a counter cell; the family is marked
@@ -47,10 +48,6 @@ val set : ?labels:labels -> string -> float -> unit
 val observe : ?labels:labels -> string -> float -> unit
 (** Record a sample into a histogram cell.  Non-finite samples are
     dropped and counted under [histogram.dropped]. *)
-
-val time : ?labels:labels -> string -> (unit -> 'a) -> 'a
-(** Run the thunk and [observe] its wall-clock duration, even on
-    exception. *)
 
 val set_enabled : bool -> unit
 (** Kill-switch: when disabled, writes return without taking the
@@ -67,9 +64,8 @@ val value : ?labels:labels -> string -> float option
 
 val sum : string -> float
 (** Sum of every counter/gauge cell in the family, across all label
-    sets; [0.] for missing families.  This is what lets unlabeled
-    legacy reads ([Engine.Telemetry.counter]) keep working after call
-    sites gain labels. *)
+    sets; [0.] for missing families — the unlabeled read of a family
+    whose call sites attach labels. *)
 
 type histdata = {
   hbuckets : int array;  (** geometric buckets, ratio 2^(1/8) *)
@@ -115,12 +111,11 @@ val dump : unit -> family list
 (** Deep-copied, name-sorted view of the whole registry — the input to
     {!Snapshot} and {!Prometheus}. *)
 
-val reset : ?kind:kind -> unit -> unit
-(** Drop every family (or only those of [kind]).  Not an epoch
-    barrier: samples written concurrently land in whichever epoch the
-    mutex orders them into — prefer {!Snapshot} deltas.  Retained for
-    test isolation and the legacy [Engine.Telemetry.reset] /
-    [Engine.Histogram.reset] shims. *)
+val reset : unit -> unit
+(** Drop every family, declared ones included.  Not an epoch barrier:
+    samples written concurrently land in whichever epoch the mutex
+    orders them into — prefer {!Snapshot} deltas.  Retained for test
+    isolation. *)
 
 (** {1 Histogram geometry}
 

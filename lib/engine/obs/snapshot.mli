@@ -3,9 +3,9 @@
     [let s0 = Snapshot.take () in ...work...; let d = Snapshot.delta
     ~before:s0 ~after:(Snapshot.take ())] attributes every sample to
     exactly one epoch, with no quiescence requirement — the pattern
-    that replaces [Telemetry.reset]/[Histogram.reset] bracketing in
-    the CLI and bench.  A snapshot is an immutable deep copy; taking
-    one costs one pass over the registry under its mutex. *)
+    the CLI and bench use instead of [Metrics.reset] bracketing.  A
+    snapshot is an immutable deep copy; taking one costs one pass over
+    the registry under its mutex. *)
 
 type t
 
@@ -33,16 +33,24 @@ val hist_data : ?labels:Metrics.labels -> t -> string -> Metrics.histdata option
 
 val hist_stats : ?labels:Metrics.labels -> t -> string -> Metrics.hstats option
 
-(** {1 JSON emission}
+(** {1 Tables}
 
-    Same shapes as [Engine.Telemetry.to_json] and
-    [Engine.Histogram.to_json], so bench/CLI metric files keep their
-    schema while switching to snapshot deltas. *)
+    The JSON files ([--metrics-out]) and the text tables ([--stats],
+    [isecustom stats]) read the same family lists: counter families
+    with at least one cell (label cells summed), split by [unit_s]
+    into counts and seconds timers, and histogram families with at
+    least one sample (label cells merged). *)
 
 val telemetry_json : t -> string
-(** [{"counters": {...ints...}, "timers": {...seconds...}}] over the
-    snapshot's counter families (label cells summed). *)
+(** [{"counters": {...ints...}, "timers": {...seconds...}}].  Always
+    valid JSON: empty tables serialise to [{}], names are escaped, and
+    a non-finite timer becomes [null]. *)
 
 val histograms_json : t -> string
-(** [{name: {count,sum,min,max,p50,p90,p99}}] over the snapshot's
-    histogram families (label cells merged). *)
+(** [{name: {count,sum,min,max,p50,p90,p99}}]; [{}] when empty. *)
+
+val pp_telemetry : Format.formatter -> t -> unit
+(** Two-column text dump of the counters, then the timers in seconds. *)
+
+val pp_histograms : Format.formatter -> t -> unit
+(** Text table: count, p50, p90, p99 and max per histogram. *)

@@ -29,8 +29,6 @@ let set_enabled b =
   if b && not (enabled ()) then Atomic.set epoch (Unix.gettimeofday ());
   Atomic.set enabled_flag b
 
-let now () = Unix.gettimeofday () -. Atomic.get epoch
-
 let current () =
   match (Domain.DLS.get key).stack with [] -> None | p :: _ -> Some p
 
@@ -43,22 +41,33 @@ let adopt parent f =
     l.stack <- [ p ];
     Fun.protect ~finally:(fun () -> l.stack <- saved) f
 
-let with_span ?(attrs = []) name f =
-  if not (enabled ()) then f ()
+(* Pushes a span onto this domain's stack; the returned closure pops it
+   and buffers it with the caller's start/end clock readings. *)
+let open_span attrs name =
+  let l = Domain.DLS.get key in
+  let id = Atomic.fetch_and_add next_id 1 in
+  let parent = match l.stack with [] -> None | p :: _ -> Some p in
+  l.stack <- id :: l.stack;
+  fun t0 t1 ->
+    let e = Atomic.get epoch in
+    l.stack <- List.tl l.stack;
+    l.buf <-
+      { id; parent; name; attrs; t_start = t0 -. e; t_end = t1 -. e;
+        domain = (Domain.self () :> int) }
+      :: l.buf
+
+let with_span ?(attrs = []) ?timer ?hist name f =
+  let tracing = enabled () in
+  if (not tracing) && timer = None && hist = None then f ()
   else begin
-    let l = Domain.DLS.get key in
-    let id = Atomic.fetch_and_add next_id 1 in
-    let parent = match l.stack with [] -> None | p :: _ -> Some p in
-    l.stack <- id :: l.stack;
-    let t_start = now () in
+    let close = if tracing then Some (open_span attrs name) else None in
+    let t0 = Unix.gettimeofday () in
     Fun.protect
       ~finally:(fun () ->
-        let t_end = now () in
-        l.stack <- List.tl l.stack;
-        l.buf <-
-          { id; parent; name; attrs; t_start; t_end;
-            domain = (Domain.self () :> int) }
-          :: l.buf)
+        let t1 = Unix.gettimeofday () in
+        Option.iter (fun n -> Obs.Metrics.inc_s n (t1 -. t0)) timer;
+        Option.iter (fun n -> Obs.Metrics.observe n (t1 -. t0)) hist;
+        Option.iter (fun close -> close t0 t1) close)
       f
   end
 
@@ -135,27 +144,28 @@ let pp_tree fmt () =
   | roots -> List.iter (pp 0) roots
 
 let to_chrome_json () =
+  let open Obs.Jsonx in
   let event s =
     let args =
-      ("span_id", Jsonx.string (string_of_int s.id))
+      ("span_id", string (string_of_int s.id))
       :: (match s.parent with
-          | Some p -> [ ("parent_id", Jsonx.string (string_of_int p)) ]
+          | Some p -> [ ("parent_id", string (string_of_int p)) ]
           | None -> [])
-      @ List.map (fun (k, v) -> (k, Jsonx.string v)) s.attrs
+      @ List.map (fun (k, v) -> (k, string v)) s.attrs
     in
-    Jsonx.obj
-      [ ("name", Jsonx.string s.name);
-        ("cat", Jsonx.string "isecustom");
-        ("ph", Jsonx.string "X");
-        ("ts", Jsonx.float (1e6 *. s.t_start));
-        ("dur", Jsonx.float (1e6 *. duration s));
+    obj
+      [ ("name", string s.name);
+        ("cat", string "isecustom");
+        ("ph", string "X");
+        ("ts", float (1e6 *. s.t_start));
+        ("dur", float (1e6 *. duration s));
         ("pid", "1");
         ("tid", string_of_int s.domain);
-        ("args", Jsonx.obj args) ]
+        ("args", obj args) ]
   in
-  Jsonx.obj
-    [ ("traceEvents", Jsonx.arr (List.map event (spans ())));
-      ("displayTimeUnit", Jsonx.string "ms") ]
+  obj
+    [ ("traceEvents", arr (List.map event (spans ())));
+      ("displayTimeUnit", string "ms") ]
 
 let write_chrome path =
   let oc = open_out path in

@@ -4,8 +4,8 @@
     [with_span "rms.bnb" ~attrs f] times [f] and records a span whose
     parent is the span enclosing it on the same domain, so spans nest
     into a per-run tree (enumerate → select → curve → schedulability).
-    Tracing is off by default; a disabled [with_span] is one atomic
-    load and a tail call.
+    Tracing is off by default; with tracing off and no metric to feed,
+    [with_span] is one atomic load and a tail call.
 
     Domain safety: each domain accumulates completed spans in a
     domain-local buffer; {!Parallel} workers adopt the spawning
@@ -33,9 +33,20 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
-val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** Run the thunk inside a named span (recorded also on exception).
-    When tracing is disabled this is just the thunk. *)
+val with_span :
+  ?attrs:(string * string) list ->
+  ?timer:string ->
+  ?hist:string ->
+  string ->
+  (unit -> 'a) ->
+  'a
+(** [with_span ?timer ?hist name f] runs [f] inside a named span — the
+    one timing call of the pipeline.  The clock is read once before and
+    once after [f] (also when [f] raises), and that one duration feeds
+    the span (when tracing is on), the seconds counter [timer]
+    ([Obs.Metrics.inc_s]) and the histogram [hist]
+    ([Obs.Metrics.observe]).  With tracing disabled and neither [timer]
+    nor [hist] given, this is just [f ()]. *)
 
 val current : unit -> int option
 (** Id of the innermost open span on this domain, if any. *)

@@ -42,7 +42,7 @@ let key_of name = name ^ "|" ^ Ise.Curve.params_key (current_params ())
 let cached table ~namespace ~generate name =
   match Hashtbl.find_opt table name with
   | Some v ->
-    Engine.Telemetry.incr "curves.memo_hits";
+    Obs.Metrics.inc "curves.memo_hits";
     v
   | None ->
     Engine.Trace.with_span "curves.lookup"

@@ -47,8 +47,8 @@ let pool_map pool f xs =
   | None -> List.map f xs
 
 let candidates ?pool ?(params = default) cfg =
-  Engine.Trace.with_span "curve.candidates" @@ fun () ->
-  Engine.Telemetry.time "curve.candidates" @@ fun () ->
+  Engine.Trace.with_span "curve.candidates" ~timer:"curve.candidates"
+  @@ fun () ->
   let profile = Ir.Cfg.profile cfg in
   let total = profile_cycles profile in
   let hot =
@@ -68,13 +68,12 @@ let candidates ?pool ?(params = default) cfg =
 let generate ?pool ?(params = default) cfg =
   Engine.Trace.with_span "curve.generate"
     ~attrs:[ ("sweep_points", string_of_int params.sweep_points) ]
+    ~timer:"curve.generate" ~hist:"curve.generate_s"
   @@ fun () ->
-  Engine.Telemetry.time "curve.generate" @@ fun () ->
-  Engine.Histogram.time "curve.generate_s" @@ fun () ->
   let cands = candidates ?pool ~params cfg in
   let base = base_cycles cfg in
   let use_greedy = List.length cands > 22 in
-  if use_greedy then Engine.Telemetry.incr "curve.greedy_fallbacks";
+  if use_greedy then Obs.Metrics.inc "curve.greedy_fallbacks";
   let select area_budget =
     if use_greedy then Select.greedy ~budget:area_budget cands
     else Select.branch_and_bound ~budget:area_budget cands

@@ -17,7 +17,7 @@ let generate_candidates ?guard ?constraints ?budget
     (match saturation with
      | None -> exhaustive
      | Some _ ->
-       Engine.Telemetry.incr "isegen.auto_switches";
+       Obs.Metrics.inc "isegen.auto_switches";
        Isegen.generate ?guard ?constraints ~params:isegen ?allowed dfg)
 
 let candidates_of_block ?constraints ?budget ?generator ?isegen
@@ -57,7 +57,7 @@ let greedy ~budget candidates =
   Engine.Trace.with_span "select.greedy"
     ~attrs:[ ("candidates", string_of_int (List.length candidates)) ]
   @@ fun () ->
-  Engine.Telemetry.incr "select.greedy_calls";
+  Obs.Metrics.inc "select.greedy_calls";
   let sorted = List.sort by_ratio_desc candidates in
   let rec take area chosen = function
     | [] -> List.rev chosen
@@ -115,11 +115,11 @@ let branch_and_bound ?(max_explored = 200_000) ~budget candidates =
     end
   in
   search 0 0 0. [];
-  Engine.Telemetry.add "select.bnb_nodes" !explored;
+  Obs.Metrics.inc ~by:(float_of_int !explored) "select.bnb_nodes";
   (* distinct name: the unified registry keys kind by family name, so
      the per-solve distribution cannot share "select.bnb_nodes" with
      the cumulative counter above *)
-  Engine.Histogram.observe "select.bnb_nodes_per_solve"
+  Obs.Metrics.observe "select.bnb_nodes_per_solve"
     (float_of_int !explored);
   List.rev !best_sel
 

@@ -245,11 +245,11 @@ let test_cache_corruption_logged_and_recomputed () =
       let oc = open_out_bin file in
       output_string oc "garbage";
       close_out oc;
-      let before = Engine.Telemetry.counter "cache.corrupt" in
+      let before = Obs.Metrics.sum "cache.corrupt" in
       check bool "corrupt file reads as a miss" true
         (Engine.Cache.find ~namespace:"t" ~key:"k" () = (None : int list option));
       check bool "corruption counted" true
-        (Engine.Telemetry.counter "cache.corrupt" > before);
+        (Obs.Metrics.sum "cache.corrupt" > before);
       Format.pp_print_flush buf_fmt ();
       let logged = Buffer.contents buf in
       let contains hay needle =

@@ -145,56 +145,75 @@ let test_cache_disabled () =
   check bool "find misses" true
     ((Engine.Cache.find ~namespace:"test" ~key:"d" () : int option) = None)
 
+let count = Alcotest.float 0.
+
 let test_cache_telemetry () =
   with_temp_cache @@ fun () ->
-  let h0 = Engine.Telemetry.counter "cache.hits"
-  and m0 = Engine.Telemetry.counter "cache.misses" in
+  let h0 = Obs.Metrics.sum "cache.hits"
+  and m0 = Obs.Metrics.sum "cache.misses" in
   Engine.Cache.store ~namespace:"test" ~key:"h" 7;
   ignore (Engine.Cache.find ~namespace:"test" ~key:"h" () : int option);
   ignore (Engine.Cache.find ~namespace:"test" ~key:"absent" () : int option);
-  check int "hit counted" (h0 + 1) (Engine.Telemetry.counter "cache.hits");
-  check int "miss counted" (m0 + 1) (Engine.Telemetry.counter "cache.misses")
+  check count "hit counted" (h0 +. 1.) (Obs.Metrics.sum "cache.hits");
+  check count "miss counted" (m0 +. 1.) (Obs.Metrics.sum "cache.misses")
 
 (* ----------------------------- Telemetry ------------------------------ *)
 
+let family name =
+  List.find_opt
+    (fun (f : Obs.Metrics.family) -> f.Obs.Metrics.fam_name = name)
+    (Obs.Metrics.dump ())
+
 let test_telemetry_counters () =
-  Engine.Telemetry.reset ();
-  check int "untouched counter reads 0" 0 (Engine.Telemetry.counter "t.c");
-  Engine.Telemetry.incr "t.c";
-  Engine.Telemetry.add "t.c" 4;
-  check int "incr + add accumulate" 5 (Engine.Telemetry.counter "t.c");
-  check bool "listed in counters ()" true
-    (List.mem_assoc "t.c" (Engine.Telemetry.counters ()));
-  Engine.Telemetry.reset ();
-  check int "reset zeroes" 0 (Engine.Telemetry.counter "t.c")
+  Obs.Metrics.reset ();
+  check count "untouched counter reads 0" 0. (Obs.Metrics.sum "t.c");
+  Obs.Metrics.inc "t.c";
+  Obs.Metrics.inc ~by:4. "t.c";
+  check count "inc and inc ~by accumulate" 5. (Obs.Metrics.sum "t.c");
+  check bool "listed in the registry" true (family "t.c" <> None);
+  Obs.Metrics.inc ~labels:[ ("k", "a") ] ~by:2. "t.c";
+  check count "sum spans label cells" 7. (Obs.Metrics.sum "t.c");
+  Obs.Metrics.inc ~by:0. "t.zero";
+  check bool "adding zero creates no family" true (family "t.zero" = None);
+  Obs.Metrics.reset ();
+  check count "reset zeroes" 0. (Obs.Metrics.sum "t.c")
 
 let test_telemetry_timers () =
-  Engine.Telemetry.reset ();
-  let x = Engine.Telemetry.time "t.t" (fun () -> 41 + 1) in
-  check int "time returns the thunk's result" 42 x;
-  check bool "time accumulated" true (Engine.Telemetry.timer "t.t" >= 0.);
-  Engine.Telemetry.add_time "t.t" 1.5;
-  check bool "add_time accumulates" true (Engine.Telemetry.timer "t.t" >= 1.5);
-  (try Engine.Telemetry.time "t.exn" (fun () -> failwith "boom")
+  Obs.Metrics.reset ();
+  let x =
+    Engine.Trace.with_span "t.span" ~timer:"t.t" ~hist:"t.h" (fun () ->
+        41 + 1)
+  in
+  check int "with_span returns the thunk's result" 42 x;
+  (match (family "t.t", Obs.Metrics.hist_stats "t.h") with
+   | Some f, Some h ->
+     check bool "timer is a seconds counter" true
+       (f.Obs.Metrics.fam_kind = Obs.Metrics.Counter && f.Obs.Metrics.fam_unit_s);
+     check int "one histogram sample" 1 h.Obs.Metrics.count;
+     check count "timer and histogram share one clock pair"
+       (Obs.Metrics.sum "t.t") h.Obs.Metrics.sum
+   | _ -> Alcotest.fail "with_span fed neither the timer nor the histogram");
+  Obs.Metrics.inc_s "t.t" 1.5;
+  check bool "inc_s accumulates" true (Obs.Metrics.sum "t.t" >= 1.5);
+  (try Engine.Trace.with_span "t.exn" ~timer:"t.exn" (fun () -> failwith "boom")
    with Failure _ -> ());
   check bool "timer recorded even on exception" true
-    (List.mem_assoc "t.exn" (Engine.Telemetry.timers ()))
+    (Obs.Metrics.value "t.exn" <> None)
 
 let test_telemetry_pipeline_monotone () =
-  Engine.Telemetry.reset ();
+  Obs.Metrics.reset ();
   let cfg = Kernels.find "crc32" in
   ignore (Ise.Curve.generate ~params:Ise.Curve.small cfg);
-  let cand1 = Engine.Telemetry.counter "enumerate.candidates" in
-  check bool "enumeration reported" true (cand1 > 0);
-  check int "one curve generated" 1
-    (Engine.Telemetry.counter "curve.curves_generated");
+  let cand1 = Obs.Metrics.sum "enumerate.candidates" in
+  check bool "enumeration reported" true (cand1 > 0.);
+  check count "one curve generated" 1.
+    (Obs.Metrics.sum "curve.curves_generated");
   ignore (Ise.Curve.generate ~params:Ise.Curve.small cfg);
   check bool "counters are monotone" true
-    (Engine.Telemetry.counter "enumerate.candidates" >= cand1);
-  check int "second generation counted" 2
-    (Engine.Telemetry.counter "curve.curves_generated");
-  check bool "curve timer advanced" true
-    (Engine.Telemetry.timer "curve.generate" > 0.)
+    (Obs.Metrics.sum "enumerate.candidates" >= cand1);
+  check count "second generation counted" 2.
+    (Obs.Metrics.sum "curve.curves_generated");
+  check bool "curve timer advanced" true (Obs.Metrics.sum "curve.generate" > 0.)
 
 let () =
   Alcotest.run "engine"

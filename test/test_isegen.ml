@@ -165,7 +165,7 @@ let tight = { Ise.Enumerate.max_size = 4; max_explored = 500; max_candidates = 5
 
 let test_cap_saturation_counter () =
   let dfg = biggest_block "sha" in
-  let before = Engine.Telemetry.counter "enumerate.cap_saturated" in
+  let before = Obs.Metrics.sum "enumerate.cap_saturated" in
   let cands, saturation = Ise.Enumerate.connected_full ~budget:tight dfg in
   (match saturation with
    | Some sat ->
@@ -176,7 +176,7 @@ let test_cap_saturation_counter () =
    | None -> Alcotest.fail "tight budget on sha's biggest block must saturate");
   check bool "candidates still returned" true (cands <> []);
   check bool "telemetry counter fired" true
-    (Engine.Telemetry.counter "enumerate.cap_saturated" > before)
+    (Obs.Metrics.sum "enumerate.cap_saturated" > before)
 
 let test_isegen_breaks_the_cap () =
   (* On a block where the tight exhaustive budget saturates, the
@@ -190,7 +190,7 @@ let test_isegen_breaks_the_cap () =
 
 let test_auto_switches () =
   let dfg = biggest_block "sha" in
-  let before = Engine.Telemetry.counter "isegen.auto_switches" in
+  let before = Obs.Metrics.sum "isegen.auto_switches" in
   let auto =
     Ise.Select.generate_candidates ~budget:tight ~generator:Ise.Isegen.Auto dfg
   in
@@ -198,7 +198,7 @@ let test_auto_switches () =
   check bool "auto used the isegen pool" true
     (List.map ci_sig auto = List.map ci_sig isegen);
   check bool "switch counted" true
-    (Engine.Telemetry.counter "isegen.auto_switches" > before)
+    (Obs.Metrics.sum "isegen.auto_switches" > before)
 
 let test_auto_stays_exhaustive () =
   let dfg, _ = diamond () in

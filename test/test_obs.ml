@@ -1,8 +1,9 @@
 (* Observability tests: Prometheus text-format conformance (checked by
    parsing the exposition back with a line-format parser), flight-ring
    wraparound and cross-domain ordering, snapshot deltas under a pooled
-   workload, the Telemetry/Histogram compatibility shims, and an
-   in-process HTTP round-trip against the /metrics endpoint. *)
+   workload, the name/kind contract of the families the benchmark
+   reads, and an in-process HTTP round-trip against the /metrics
+   endpoint. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -388,20 +389,111 @@ let test_snapshot_json_shapes () =
   check bool "histogram entry" true (contains hj "\"t.json_hist\"");
   check bool "histogram stats fields" true (contains hj "\"p99\"")
 
-(* ------------------------- Telemetry interop -------------------------- *)
+(* --------------------------- Family contract -------------------------- *)
 
-let test_telemetry_shim_interop () =
-  Obs.Metrics.inc ~labels:[ ("k", "a") ] ~by:2. "t.interop";
-  Obs.Metrics.inc ~labels:[ ("k", "b") ] ~by:5. "t.interop";
-  check int "legacy read sums label cells" 7
-    (Engine.Telemetry.counter "t.interop");
-  Engine.Telemetry.incr "t.interop2";
-  check (Alcotest.option eps) "legacy write lands in registry" (Some 1.)
-    (Obs.Metrics.value "t.interop2");
-  Engine.Histogram.observe "t.interop_h" 0.25;
-  (match Obs.Metrics.hist_stats "t.interop_h" with
-  | None -> Alcotest.fail "legacy histogram write missing from registry"
-  | Some h -> check int "one sample" 1 h.Obs.Metrics.count)
+(* The Figure 3.2 task set: three tasks, one custom configuration each. *)
+let fig32_tasks () =
+  let task name period base area cycles =
+    Rt.Task.make ~name ~period
+      (Isa.Config.of_points ~base_cycles:base [ { Isa.Config.area; cycles } ])
+  in
+  [ task "T1" 6 2 7 1; task "T2" 8 3 6 2; task "T3" 12 6 4 5 ]
+
+let request id op budget =
+  let line =
+    Printf.sprintf
+      {|{"id": "%s", "op": "%s", "instance": {"budget": %d, "eps": 0.5, "tasks": [{"period": 100, "base": 50, "points": [{"area": 5, "cycles": 30}, {"area": 10, "cycles": 20}]}, {"period": 80, "base": 40, "points": [{"area": 4, "cycles": 25}]}], "dfg": {"kinds": [], "edges": [], "live_outs": []}}}|}
+      id op budget
+  in
+  match Batch.Protocol.parse_request line with
+  | Ok r -> r
+  | Error msg -> Alcotest.failf "request does not parse: %s" msg
+
+let in_delta f =
+  let s0 = Obs.Snapshot.take () in
+  f ();
+  let s1 = Obs.Snapshot.take () in
+  (Obs.Snapshot.delta ~before:s0 ~after:s1, s1)
+
+(* Every EDF DP writes edf.dp_cells as a counter only, so neither solver
+   entry point drops a sample on a kind clash. *)
+let test_edf_no_kind_clash () =
+  let d, _ =
+    in_delta (fun () ->
+        ignore (Core.Edf_select.run ~budget:10 (fig32_tasks ()));
+        ignore (Core.Edf_select.run_sweep ~budgets:[ 4; 10 ] (fig32_tasks ())))
+  in
+  check bool "edf.dp_cells counted" true
+    (Obs.Snapshot.counter d "edf.dp_cells" > 0.);
+  check eps "no kind clash" 0. (Obs.Snapshot.counter d "obs.kind_clash")
+
+(* Name, kind and seconds flag of the families the benchmark and the
+   metrics files read.  A rename or kind change here breaks their
+   readers silently, so it has to break this test first. *)
+let contract =
+  let c = Obs.Metrics.Counter and h = Obs.Metrics.Hist in
+  [ ("curve.generate", c, true); ("curve.candidates", c, true);
+    ("enumerate.candidates", c, false); ("enumerate.explored", c, false);
+    ("enumerate.cap_saturated", c, false);
+    ("curve.greedy_fallbacks", c, false); ("pool.steals", c, false);
+    ("edf.dp_cells", c, false); ("rms.explored", c, false);
+    ("memo.hits", c, false); ("memo.misses", c, false);
+    ("daemon.requests", c, false); ("obs.kind_clash", c, false);
+    ("daemon.queue_wait_s", h, true); ("curve.generate_s", h, false);
+    ("batch.run_s", h, false); ("batch.group_s", h, false) ]
+
+let test_family_contract () =
+  let memo =
+    Engine.Memo.create ~shards:2 ~spill:false ~namespace:"contract" ()
+  in
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "isecustom-obs-contract-%d.sock" (Unix.getpid ()))
+  in
+  let d, after =
+    in_delta (fun () ->
+        (* crc32 is the cheap curve; lms saturates the small
+           enumeration budget and falls back to greedy selection *)
+        List.iter
+          (fun k ->
+            ignore (Ise.Curve.generate ~params:Ise.Curve.small (Kernels.find k)))
+          [ "crc32"; "lms" ];
+        ignore (Core.Edf_select.run ~budget:10 (fig32_tasks ()));
+        ignore (Core.Rms_select.run ~budget:10 (fig32_tasks ()));
+        Engine.Parallel.Pool.with_pool ~jobs:2 (fun pool ->
+            ignore
+              (Batch.Service.run ~pool ~memo
+                 [ request "c0" "edf" 5; request "c1" "rms" 10 ]));
+        (* one daemon round-trip, answered from the batch's memo *)
+        let srv = Daemon.Server.start ~unix_path:sock ~memo () in
+        Fun.protect ~finally:(fun () -> Daemon.Server.stop srv) (fun () ->
+            let c = Daemon.Client.connect ~unix_path:sock () in
+            Fun.protect ~finally:(fun () -> Daemon.Client.close c) (fun () ->
+                match Daemon.Client.rpc c (request "c2" "edf" 5) with
+                | Ok _ -> ()
+                | Error msg -> Alcotest.failf "daemon rpc: %s" msg)))
+  in
+  check eps "no kind clash over the whole run" 0.
+    (Obs.Snapshot.counter d "obs.kind_clash");
+  (* obs.kind_clash only exists once something clashed: make one on a
+     test-only name so its own kind can be checked too *)
+  Obs.Metrics.inc "t.contract_clash";
+  Obs.Metrics.observe "t.contract_clash" 1.;
+  let families =
+    Obs.Snapshot.families after @ Obs.Snapshot.families (Obs.Snapshot.take ())
+  in
+  List.iter
+    (fun (name, kind, unit_s) ->
+      match
+        List.find_opt
+          (fun (f : Obs.Metrics.family) -> f.Obs.Metrics.fam_name = name)
+          families
+      with
+      | None -> Alcotest.failf "family %s missing" name
+      | Some f ->
+        check bool (name ^ " kind") true (f.Obs.Metrics.fam_kind = kind);
+        check bool (name ^ " unit_s") unit_s f.Obs.Metrics.fam_unit_s)
+    contract
 
 (* ------------------------------- Serve -------------------------------- *)
 
@@ -453,7 +545,14 @@ let test_serve_roundtrip () =
 
 let () =
   Alcotest.run "obs"
-    [ ( "prometheus",
+    (* the contract runs first: the prometheus cases reset the registry,
+       which drops the families modules declare at start-up *)
+    [ ( "contract",
+        [ Alcotest.test_case "edf solvers clash-free" `Quick
+            test_edf_no_kind_clash;
+          Alcotest.test_case "metric families keep name and kind" `Quick
+            test_family_contract ] );
+      ( "prometheus",
         [ Alcotest.test_case "exposition round-trip" `Quick
             test_prometheus_roundtrip;
           Alcotest.test_case "name and value formatting" `Quick
@@ -468,9 +567,6 @@ let () =
         [ Alcotest.test_case "delta under pooled workload" `Quick
             test_snapshot_delta_pooled;
           Alcotest.test_case "json shapes" `Quick test_snapshot_json_shapes ] );
-      ( "interop",
-        [ Alcotest.test_case "telemetry and histogram shims" `Quick
-            test_telemetry_shim_interop ] );
       ( "serve",
         [ Alcotest.test_case "http round-trip" `Quick test_serve_roundtrip ] )
     ]

@@ -1,8 +1,9 @@
 (* Observability layer tests: span nesting and ordering (also across
    Parallel domains), Chrome trace JSON well-formedness, histogram
    percentile accuracy against known distributions, log-level filtering
-   and JSONL sink output, and Telemetry.to_json validity on the edge
-   cases PR 1 got wrong (empty tables, names containing quotes). *)
+   and JSONL sink output, and the snapshot JSON emitters' validity on
+   the edge cases: empty tables, names containing quotes, non-finite
+   timers. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -286,11 +287,11 @@ let test_chrome_json_round_trip () =
 (* ----------------------------- Histogram ------------------------------ *)
 
 let test_histogram_percentiles () =
-  Engine.Histogram.reset ();
+  Obs.Metrics.reset ();
   for v = 1 to 1000 do
-    Engine.Histogram.observe "t.h" (float_of_int v)
+    Obs.Metrics.observe "t.h" (float_of_int v)
   done;
-  match Engine.Histogram.stats "t.h" with
+  match Obs.Metrics.hist_stats "t.h" with
   | None -> Alcotest.fail "stats missing"
   | Some s ->
     check int "count" 1000 s.count;
@@ -303,32 +304,33 @@ let test_histogram_percentiles () =
     check bool "p90 near 900" true (s.p90 >= 810. && s.p90 <= 990.);
     check bool "p99 near 990" true (s.p99 >= 891. && s.p99 <= 1000.);
     check bool "quantiles monotone" true (s.p50 <= s.p90 && s.p90 <= s.p99);
-    (match Engine.Histogram.quantile "t.h" 1.0 with
+    (match Obs.Metrics.hist_quantile "t.h" 1.0 with
      | Some q -> check (Alcotest.float 1e-6) "q=1 clamps to max" 1000. q
      | None -> Alcotest.fail "quantile missing")
 
 let test_histogram_constant_and_empty () =
-  Engine.Histogram.reset ();
+  Obs.Metrics.reset ();
   check bool "empty histogram has no stats" true
-    (Engine.Histogram.stats "t.none" = None);
-  for _ = 1 to 5 do Engine.Histogram.observe "t.const" 42. done;
-  (match Engine.Histogram.stats "t.const" with
+    (Obs.Metrics.hist_stats "t.none" = None);
+  for _ = 1 to 5 do Obs.Metrics.observe "t.const" 42. done;
+  (match Obs.Metrics.hist_stats "t.const" with
    | Some s ->
      check (Alcotest.float 1e-6) "constant p50 exact" 42. s.p50;
      check (Alcotest.float 1e-6) "constant p99 exact" 42. s.p99
    | None -> Alcotest.fail "stats missing");
-  Engine.Histogram.observe "t.nan" Float.nan;
+  Obs.Metrics.observe "t.nan" Float.nan;
   check bool "non-finite samples dropped" true
-    (Engine.Histogram.stats "t.nan" = None);
-  Engine.Histogram.reset ();
-  check bool "reset drops histograms" true (Engine.Histogram.all () = [])
+    (Obs.Metrics.hist_stats "t.nan" = None);
+  Obs.Metrics.reset ();
+  check bool "reset drops histograms" true
+    (Obs.Metrics.hist_stats "t.const" = None)
 
 let test_histogram_json () =
-  Engine.Histogram.reset ();
+  Obs.Metrics.reset ();
   check bool "empty registry is valid JSON" true
-    (parse_json (Engine.Histogram.to_json ()) = Obj []);
-  Engine.Histogram.observe {|na"me|} 3.5;
-  let j = parse_json (Engine.Histogram.to_json ()) in
+    (parse_json (Obs.Snapshot.histograms_json (Obs.Snapshot.take ())) = Obj []);
+  Obs.Metrics.observe {|na"me|} 3.5;
+  let j = parse_json (Obs.Snapshot.histograms_json (Obs.Snapshot.take ())) in
   match member {|na"me|} j with
   | Some h ->
     check bool "count serialised" true (member "count" h = Some (Num 1.))
@@ -431,13 +433,14 @@ let test_log_jsonl_sink () =
 (* ----------------------------- Telemetry ------------------------------ *)
 
 let test_telemetry_json_valid () =
-  Engine.Telemetry.reset ();
-  (match parse_json (Engine.Telemetry.to_json ()) with
+  Obs.Metrics.reset ();
+  let json () = parse_json (Obs.Snapshot.telemetry_json (Obs.Snapshot.take ())) in
+  (match json () with
    | Obj [ ("counters", Obj []); ("timers", Obj []) ] -> ()
    | _ -> Alcotest.fail "empty tables must serialise to empty objects");
-  Engine.Telemetry.add {|weird "name"|} 3;
-  Engine.Telemetry.add_time "t.inf" Float.infinity;
-  let j = parse_json (Engine.Telemetry.to_json ()) in
+  Obs.Metrics.inc ~by:3. {|weird "name"|};
+  Obs.Metrics.inc_s "t.inf" Float.infinity;
+  let j = json () in
   (match member "counters" j with
    | Some counters ->
      check bool "quoted counter name survives" true
@@ -448,16 +451,17 @@ let test_telemetry_json_valid () =
      check bool "non-finite timer becomes null" true
        (member "t.inf" timers = Some Null)
    | None -> Alcotest.fail "timers missing");
-  Engine.Telemetry.reset ()
+  Obs.Metrics.reset ()
 
 (* ------------------------- pipeline end-to-end ------------------------ *)
 
 let test_pipeline_span_tree () =
   with_tracing @@ fun () ->
-  Engine.Histogram.reset ();
+  let s0 = Obs.Snapshot.take () in
   ignore
     (Ise.Curve.generate ~params:Ise.Curve.small (Kernels.find "crc32")
       : Isa.Config.t);
+  let d = Obs.Snapshot.delta ~before:s0 ~after:(Obs.Snapshot.take ()) in
   let spans = Engine.Trace.spans () in
   let generate =
     match find_spans "curve.generate" spans with
@@ -479,7 +483,7 @@ let test_pipeline_span_tree () =
   check bool "selection spans under generate" true
     (selects <> [] && List.for_all (fun s -> under generate s) selects);
   (* the per-curve latency histogram fed by the same run *)
-  match Engine.Histogram.stats "curve.generate_s" with
+  match Obs.Snapshot.hist_stats d "curve.generate_s" with
   | Some s -> check int "one latency sample" 1 s.count
   | None -> Alcotest.fail "curve.generate_s histogram missing"
 

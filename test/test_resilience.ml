@@ -89,7 +89,7 @@ let test_fuel_partial_is_reproducible () =
 
 let test_deadline_stops_pathological_search () =
   let tasks = pathological_tasks () in
-  let exhausted_before = Engine.Telemetry.counter "guard.exhausted" in
+  let exhausted_before = Obs.Metrics.sum "guard.exhausted" in
   let t0 = Unix.gettimeofday () in
   let got, stats =
     Core.Rms_select.run_instrumented
@@ -104,7 +104,7 @@ let test_deadline_stops_pathological_search () =
    | s -> Alcotest.failf "expected deadline exhaustion, got %s"
             (Engine.Guard.string_of_status s));
   check bool "guard.exhausted counted" true
-    (Engine.Telemetry.counter "guard.exhausted" > exhausted_before);
+    (Obs.Metrics.sum "guard.exhausted" > exhausted_before);
   match got with
   | None -> Alcotest.fail "no incumbent after 0.25s on a feasible instance"
   | Some inc ->
@@ -203,11 +203,11 @@ let test_injected_truncation_reads_as_corrupt () =
   with_fault_spec "seed=5,cache.truncate=1x1" (fun () ->
       Engine.Cache.store ~namespace:"resilience" ~key:"t" value;
       check int "truncation fired" 1 (Engine.Fault.fired "cache.truncate");
-      let corrupt_before = Engine.Telemetry.counter "cache.corrupt" in
+      let corrupt_before = Obs.Metrics.sum "cache.corrupt" in
       check bool "torn entry reads as a miss" true
         (Engine.Cache.find ~namespace:"resilience" ~key:"t" () = None);
       check bool "torn entry counted as corruption" true
-        (Engine.Telemetry.counter "cache.corrupt" > corrupt_before);
+        (Obs.Metrics.sum "cache.corrupt" > corrupt_before);
       (* recompute-and-store repairs the entry (the fire cap is spent) *)
       Engine.Cache.store ~namespace:"resilience" ~key:"t" value;
       check bool "repaired entry reads back" true
@@ -216,11 +216,11 @@ let test_injected_truncation_reads_as_corrupt () =
 let test_injected_write_failure_degrades () =
   with_scratch_cache @@ fun () ->
   with_fault_spec "seed=6,cache.write=1x1" (fun () ->
-      let failed_before = Engine.Telemetry.counter "cache.write_failed" in
+      let failed_before = Obs.Metrics.sum "cache.write_failed" in
       (* must not raise: the cache degrades to in-memory-only *)
       Engine.Cache.store ~namespace:"resilience" ~key:"w" [ 1; 2 ];
       check bool "write failure counted" true
-        (Engine.Telemetry.counter "cache.write_failed" > failed_before);
+        (Obs.Metrics.sum "cache.write_failed" > failed_before);
       check bool "no tmp file leaked" true
         (Sys.readdir (Engine.Cache.dir ())
          |> Array.for_all (fun f ->
@@ -231,7 +231,7 @@ let test_injected_write_failure_degrades () =
 
 let test_map_result_retries_transient_crash () =
   with_fault_spec "seed=9,parallel.worker=1x1" (fun () ->
-      let recovered_before = Engine.Telemetry.counter "parallel.recovered" in
+      let recovered_before = Obs.Metrics.sum "parallel.recovered" in
       let outcomes =
         Engine.Parallel.Pool.with_pool ~jobs:1 @@ fun pool ->
         Engine.Parallel.Pool.map_result pool ~attempts:2
@@ -242,7 +242,7 @@ let test_map_result_retries_transient_crash () =
         (outcomes = [ Ok 10; Ok 20; Ok 30 ]);
       check int "crash fired once" 1 (Engine.Fault.fired "parallel.worker");
       check bool "recovery counted" true
-        (Engine.Telemetry.counter "parallel.recovered" > recovered_before))
+        (Obs.Metrics.sum "parallel.recovered" > recovered_before))
 
 let test_map_result_isolates_permanent_failure () =
   let outcomes =
