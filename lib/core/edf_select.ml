@@ -1,57 +1,22 @@
-let positive_areas tasks =
-  List.concat_map
-    (fun (t : Rt.Task.t) ->
-      Array.to_list (Isa.Config.points t.curve)
-      |> List.filter_map (fun (p : Isa.Config.point) ->
-             if p.area > 0 then Some p.area else None))
-    tasks
+(* The DP maximises, so utilizations go in negated: negation is exact,
+   so every sum, comparison and tie-break matches a minimising DP. *)
+let options (task : Rt.Task.t) =
+  Array.map
+    (fun (p : Isa.Config.point) ->
+      (p.area, -.(float_of_int p.cycles /. float_of_int task.period)))
+    (Isa.Config.points task.curve)
 
-let granularity ~budget tasks =
-  max 1 (Util.Numeric.gcd_list (budget :: positive_areas tasks))
-
-(* u.(a) = best utilization of the processed prefix with area budget
-   a·Δ; choice.(i).(a) = configuration index picked for task i. *)
-let dp_tables ~delta ~cells (tasks : Rt.Task.t array) =
-  let n = Array.length tasks in
-  let u = Array.make cells 0. in
-  let choice = Array.make_matrix n cells 0 in
-  for i = 0 to n - 1 do
-    let task = tasks.(i) in
-    let points = Isa.Config.points task.curve in
-    let prev = Array.copy u in
-    for cell = 0 to cells - 1 do
-      let best = ref infinity and best_j = ref 0 in
-      Array.iteri
-        (fun j (p : Isa.Config.point) ->
-          if p.area <= cell * delta then begin
-            let rest = prev.((cell * delta - p.area) / delta) in
-            let total = (float_of_int p.cycles /. float_of_int task.period) +. rest in
-            if total < !best then begin
-              best := total;
-              best_j := j
-            end
-          end)
-        points;
-      u.(cell) <- !best;
-      choice.(i).(cell) <- !best_j
-    done
-  done;
-  choice
-
-(* Recover an assignment by walking the parent pointers backwards from
-   the cell holding the requested budget. *)
-let traceback ~delta ~choice (tasks : Rt.Task.t array) start_cell =
-  let n = Array.length tasks in
-  let assignment = ref [] in
-  let cell = ref start_cell in
-  for i = n - 1 downto 0 do
-    let task = tasks.(i) in
-    let j = choice.(i).(!cell) in
-    let p = (Isa.Config.points task.curve).(j) in
-    assignment := (task, p) :: !assignment;
-    cell := !cell - (p.Isa.Config.area / delta)
-  done;
-  Selection.of_assignment !assignment
+let solve ~budgets tasks =
+  let table = Util.Group_knapsack.solve ~budgets (List.map options tasks) in
+  Obs.Metrics.inc ~by:(float_of_int (Util.Group_knapsack.cells table)) "edf.dp_cells";
+  List.map
+    (fun budget ->
+      Util.Group_knapsack.pick table ~budget
+      |> List.map2
+           (fun (task : Rt.Task.t) j -> (task, (Isa.Config.points task.curve).(j)))
+           tasks
+      |> Selection.of_assignment)
+    budgets
 
 let run ~budget tasks =
   if budget < 0 then invalid_arg "Edf_select.run: negative budget";
@@ -62,16 +27,7 @@ let run ~budget tasks =
     ~timer:"edf.select"
   @@ fun () ->
   Obs.Metrics.inc ~labels:[ ("solver", "edf") ] "solver.runs";
-  let tasks = Array.of_list tasks in
-  let n = Array.length tasks in
-  if n = 0 then Selection.of_assignment []
-  else begin
-    let delta = granularity ~budget (Array.to_list tasks) in
-    let cells = (budget / delta) + 1 in
-    Obs.Metrics.inc ~by:(float_of_int (n * cells)) "edf.dp_cells";
-    let choice = dp_tables ~delta ~cells tasks in
-    traceback ~delta ~choice tasks (cells - 1)
-  end
+  List.hd (solve ~budgets:[ budget ] tasks)
 
 let run_sweep ~budgets tasks =
   List.iter
@@ -88,24 +44,7 @@ let run_sweep ~budgets tasks =
     @@ fun () ->
     Obs.Metrics.inc "edf.sweeps";
     Obs.Metrics.inc ~labels:[ ("solver", "edf_sweep") ] "solver.runs";
-    let tasks = Array.of_list tasks in
-    let n = Array.length tasks in
-    if n = 0 then List.map (fun _ -> Selection.of_assignment []) budgets
-    else begin
-      (* The sweep granularity divides every per-budget granularity
-         (it is a GCD over a superset), so the per-budget DP's states
-         all live on the sweep grid: values, argmin scans and tie
-         breaks coincide cell for cell, making each traceback
-         bit-identical to [run ~budget]. *)
-      let max_budget = List.fold_left max 0 budgets in
-      let delta =
-        max 1 (Util.Numeric.gcd_list (budgets @ positive_areas (Array.to_list tasks)))
-      in
-      let cells = (max_budget / delta) + 1 in
-      Obs.Metrics.inc ~by:(float_of_int (n * cells)) "edf.dp_cells";
-      let choice = dp_tables ~delta ~cells tasks in
-      List.map (fun b -> traceback ~delta ~choice tasks (b / delta)) budgets
-    end
+    solve ~budgets tasks
 
 let run_schedulable ~budget tasks =
   let sel = run ~budget tasks in

@@ -1,7 +1,8 @@
 (** Optimal customization under EDF scheduling — Algorithm 1 of the
     paper (thesis §3.1.3).
 
-    A pseudo-polynomial dynamic program over the area budget: Uᵢ(A) is
+    A pseudo-polynomial dynamic program over the area budget
+    ({!Util.Group_knapsack}, fed negated utilizations): Uᵢ(A) is
     the minimum total utilization of tasks T₁..Tᵢ spending at most A on
     custom instructions, recursing over each task's configuration curve.
     The area granularity Δ is the GCD of all configuration areas and the
@@ -16,13 +17,12 @@ val run : budget:int -> Rt.Task.t list -> Selection.t
     the software configuration is free). *)
 
 val run_sweep : budgets:int list -> Rt.Task.t list -> Selection.t list
-(** One selection per requested budget, in order, from a single DP
-    filled to the largest budget at granularity
-    Δ = gcd(budgets ∪ areas).  Because that Δ divides each per-budget
-    granularity, every result is bit-identical to the corresponding
-    [run ~budget] — a whole budget sweep for the price of one DP (the
-    batch service's grouping relies on this; asserted property-based in
-    the [batch] suite).  Counts ["edf.sweeps"]. *)
+(** One selection per requested budget, in order, from a single
+    {!Util.Group_knapsack} table filled to the largest budget.  Every
+    result is bit-identical to the corresponding [run ~budget] by
+    construction of that shared DP (tested in [test_util]) — a whole
+    budget sweep for the price of one DP, which the batch service's
+    grouping relies on.  Counts ["edf.sweeps"]. *)
 
 val run_schedulable : budget:int -> Rt.Task.t list -> Selection.t option
 (** The same, filtered to EDF-schedulable results: [None] when even the

@@ -122,36 +122,3 @@ let branch_and_bound ?(max_explored = 200_000) ~budget candidates =
   Obs.Metrics.observe "select.bnb_nodes_per_solve"
     (float_of_int !explored);
   List.rev !best_sel
-
-let knapsack ~budget candidates =
-  Engine.Trace.with_span "select.knapsack"
-    ~attrs:[ ("candidates", string_of_int (List.length candidates)) ]
-  @@ fun () ->
-  let rec pairwise = function
-    | [] -> ()
-    | c :: rest ->
-      if List.exists (conflict c) rest then
-        invalid_arg "Select.knapsack: candidates overlap";
-      pairwise rest
-  in
-  pairwise candidates;
-  let areas = List.map (fun c -> c.ci.Isa.Custom_inst.area) candidates in
-  let delta = max 1 (Util.Numeric.gcd_list (budget :: areas)) in
-  let cells = (budget / delta) + 1 in
-  let best = Array.make cells 0. in
-  let sel : candidate list array = Array.make cells [] in
-  List.iter
-    (fun c ->
-      let a = c.ci.Isa.Custom_inst.area in
-      if a <= budget then
-        let steps = Util.Numeric.ceil_div a delta in
-        for cell = cells - 1 downto steps do
-          let from = cell - steps in
-          let candidate_gain = best.(from) +. total_gain c in
-          if candidate_gain > best.(cell) then begin
-            best.(cell) <- candidate_gain;
-            sel.(cell) <- c :: sel.(from)
-          end
-        done)
-    candidates;
-  List.rev sel.(cells - 1)

@@ -3,12 +3,10 @@
     Given a library of candidates with profiled execution frequencies,
     pick a subset maximising total cycle gain under a silicon-area budget
     with the non-overlap constraint (a base operation is covered by at
-    most one custom instruction).  Three selectors are provided:
+    most one custom instruction).  Two selectors are provided:
 
     - {!greedy} — gain/area-ratio heuristic,
-    - {!branch_and_bound} — exact, with fractional-knapsack bounding,
-    - {!knapsack} — exact pseudo-polynomial DP for candidate sets already
-      known to be pairwise disjoint (e.g. MLGP partitions). *)
+    - {!branch_and_bound} — exact, with fractional-knapsack bounding. *)
 
 type candidate = {
   ci : Isa.Custom_inst.t;
@@ -61,8 +59,3 @@ val branch_and_bound :
   ?max_explored:int -> budget:int -> candidate list -> candidate list
 (** Exact for small candidate sets; falls back to the best solution found
     when the exploration cap is hit. *)
-
-val knapsack : budget:int -> candidate list -> candidate list
-(** Exact 0-1 knapsack over the area dimension (granularity = gcd of
-    areas).  Precondition: candidates are pairwise conflict-free; raises
-    [Invalid_argument] otherwise. *)

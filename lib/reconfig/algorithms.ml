@@ -2,39 +2,14 @@
    exactly one version; maximise total gain. *)
 let spatial_select ~loops ~area =
   if area < 0 then invalid_arg "spatial_select: negative area";
-  let areas =
-    List.concat_map
-      (fun (l : Problem.hot_loop) ->
-        Array.to_list l.versions
-        |> List.filter_map (fun (v : Problem.version) ->
-               if v.area > 0 then Some v.area else None))
-      loops
+  let options (l : Problem.hot_loop) =
+    Array.map (fun (v : Problem.version) -> (v.area, float_of_int v.gain)) l.versions
   in
-  let delta = max 1 (Util.Numeric.gcd_list (area :: areas)) in
-  let cells = (area / delta) + 1 in
-  let best = Array.make cells 0 in
-  let choice = Array.make cells [] in
-  List.iter
-    (fun (l : Problem.hot_loop) ->
-      let next = Array.copy best in
-      let next_choice = Array.map (fun c -> (l.name, 0) :: c) choice in
-      for cell = 0 to cells - 1 do
-        Array.iteri
-          (fun j (v : Problem.version) ->
-            if j > 0 && v.area <= cell * delta then begin
-              let from = cell - (v.area + delta - 1) / delta in
-              let g = best.(from) + v.gain in
-              if g > next.(cell) then begin
-                next.(cell) <- g;
-                next_choice.(cell) <- (l.name, j) :: choice.(from)
-              end
-            end)
-          l.versions
-      done;
-      Array.blit next 0 best 0 cells;
-      Array.blit next_choice 0 choice 0 cells)
-    loops;
-  List.rev choice.(cells - 1)
+  let table = Util.Group_knapsack.solve ~budgets:[ area ] (List.map options loops) in
+  List.map2
+    (fun (l : Problem.hot_loop) j -> (l.name, j))
+    loops
+    (Util.Group_knapsack.pick table ~budget:area)
 
 let rcg (t : Problem.t) ~keep ~weight_of =
   let kept =

@@ -1,45 +1,21 @@
-(* Group knapsack over a shared area budget: pick one version per task
-   minimising total utilization; [reload] cycles are added to any
-   hardware-mapped task's job. *)
+(* One version per task minimising total utilization under a shared
+   area budget, i.e. maximising Σ(gain − reload)/period, where [reload]
+   cycles are charged only to hardware-mapped tasks.  Returned in
+   reverse task order. *)
 let min_utilization_versions ~tasks ~area ~reload =
-  let areas =
-    List.concat_map
-      (fun (tk : Model.task) ->
-        Array.to_list tk.versions
-        |> List.filter_map (fun (v : Model.version) ->
-               if v.area > 0 then Some v.area else None))
-      tasks
+  let options (tk : Model.task) =
+    Array.mapi
+      (fun j (v : Model.version) ->
+        ( v.area,
+          if j = 0 then 0.
+          else float_of_int (v.gain - reload tk) /. float_of_int tk.period ))
+      tk.versions
   in
-  let delta = max 1 (Util.Numeric.gcd_list (area :: areas)) in
-  let cells = (area / delta) + 1 in
-  let best = Array.make cells 0. in
-  let choice : (string * int) list array = Array.make cells [] in
-  List.iter
-    (fun (tk : Model.task) ->
-      let base = Array.copy best in
-      let base_choice = Array.copy choice in
-      for cell = 0 to cells - 1 do
-        best.(cell) <- base.(cell);
-        choice.(cell) <- (tk.name, 0) :: base_choice.(cell)
-      done;
-      for cell = 0 to cells - 1 do
-        Array.iteri
-          (fun j (v : Model.version) ->
-            if j > 0 && v.area <= cell * delta then begin
-              let from = cell - Util.Numeric.ceil_div v.area delta in
-              let benefit =
-                float_of_int (v.gain - reload tk) /. float_of_int tk.period
-              in
-              let total = base.(from) +. benefit in
-              if total > best.(cell) then begin
-                best.(cell) <- total;
-                choice.(cell) <- (tk.name, j) :: base_choice.(from)
-              end
-            end)
-          tk.versions
-      done)
-    tasks;
-  choice.(cells - 1)
+  let table = Util.Group_knapsack.solve ~budgets:[ area ] (List.map options tasks) in
+  List.rev_map2
+    (fun (tk : Model.task) j -> (tk.name, j))
+    tasks
+    (Util.Group_knapsack.pick table ~budget:area)
 
 let placement_of_versions versions ~group_of =
   { Model.version_of = versions;

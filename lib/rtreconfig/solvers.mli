@@ -23,9 +23,3 @@ val optimal : ?max_nodes:int -> Model.t -> Model.placement
 
 val dp : Model.t -> Model.placement
 
-val min_utilization_versions :
-  tasks:Model.task list -> area:int -> reload:(Model.task -> int) ->
-  (string * int) list
-(** Knapsack helper: one version per task minimising Σ(wcet − gain +
-    reload)/period under a shared area budget, where [reload] cycles
-    are charged only to hardware-mapped tasks (exposed for tests). *)

@@ -50,6 +50,33 @@ let test_tasks_of_utilization () =
   check (Alcotest.float 0.02) "target utilization" 1.05
     (Rt.Task.set_utilization tasks)
 
+(* Figure 7.4's claim: on every row Optimal <= DP <= Static, and DP
+   strictly beats Static on both 200-area fabrics (EXPERIMENTS.md). *)
+let test_f7_4_ordering () =
+  match Experiments.Registry.find "f7.4" with
+  | None -> Alcotest.fail "experiment f7.4 not registered"
+  | Some e ->
+    let rows =
+      (e.run ()).Experiments.Report.rows
+      |> List.filter_map (fun row ->
+             match List.map String.trim row with
+             | [ tasks; area; _software; static; dp; optimal; _ ] ->
+               (match float_of_string_opt static with
+                | Some static ->
+                  Some (tasks, int_of_string area, static, float_of_string dp,
+                        float_of_string optimal)
+                | None -> None (* the header *))
+             | _ -> None)
+    in
+    check Alcotest.int "eight rows" 8 (List.length rows);
+    List.iter
+      (fun (tasks, area, static, dp, optimal) ->
+        let label = Printf.sprintf "%s tasks, area %d" tasks area in
+        check bool (label ^ ": optimal <= DP <= static") true
+          (optimal <= dp && dp <= static);
+        if area = 200 then check bool (label ^ ": DP < static") true (dp < static))
+      rows
+
 let () =
   Alcotest.run "experiments"
     [ ( "registry",
@@ -68,4 +95,6 @@ let () =
           Alcotest.test_case "t5.2 lists the chapter-5 sets" `Quick
             (run_and_expect "t5.2" [ "3des, rijndael, sha, g721decode" ]);
           Alcotest.test_case "t4.1 notes the ispell substitution" `Quick
-            (run_and_expect "t4.1" [ "md5" ]) ] ) ]
+            (run_and_expect "t4.1" [ "md5" ]);
+          Alcotest.test_case "f7.4 orders optimal <= DP <= static" `Quick
+            test_f7_4_ordering ] ) ]

@@ -155,41 +155,6 @@ let prop_bnb_exact_small =
       done;
       Float.abs (Ise.Select.gain_of bnb -. !best) < 1e-6)
 
-let test_knapsack_exact () =
-  (* hand-made disjoint candidates in distinct blocks *)
-  let mk block gain_ops area_ops =
-    let b = B.create () in
-    for _ = 1 to gain_ops do ignore (B.add b Ir.Op.Add) done;
-    ignore area_ops;
-    let dfg = B.finish b in
-    let nodes = Util.Bitset.of_list gain_ops (List.init gain_ops (fun i -> i)) in
-    { Ise.Select.ci = Isa.Custom_inst.make_unchecked dfg nodes; block; freq = 1. }
-  in
-  (* areas: 10,20,30 deci-adders (1,2,3 adds) with gains 0,1,2 *)
-  let c1 = mk 0 1 0 and c2 = mk 1 2 0 and c3 = mk 2 3 0 in
-  let sel = Ise.Select.knapsack ~budget:30 [ c1; c2; c3 ] in
-  (* best at 30 units: c3 alone (gain 2) or c1+c2 (gain 1): expect c3 *)
-  check int "one candidate" 1 (List.length sel);
-  check bool "picked the 3-add pattern" true
-    (List.exists (fun c -> c.Ise.Select.ci.Isa.Custom_inst.size = 3) sel)
-
-let test_knapsack_rejects_overlap () =
-  let b = B.create () in
-  let x = B.add b Ir.Op.Add in
-  let y = B.add_with b Ir.Op.Add [ x ] in
-  let dfg = B.finish b in
-  let c1 =
-    { Ise.Select.ci = Isa.Custom_inst.make dfg (Util.Bitset.of_list 2 [ x; y ]);
-      block = 0; freq = 1. }
-  in
-  let c2 =
-    { Ise.Select.ci = Isa.Custom_inst.make dfg (Util.Bitset.of_list 2 [ x ]);
-      block = 0; freq = 1. }
-  in
-  Alcotest.check_raises "overlap rejected"
-    (Invalid_argument "Select.knapsack: candidates overlap")
-    (fun () -> ignore (Ise.Select.knapsack ~budget:100 [ c1; c2 ]))
-
 let prop_selection_no_conflicts =
   QCheck.Test.make ~name:"greedy never selects overlapping candidates" ~count:30
     QCheck.(int_range 50 1000)
@@ -235,8 +200,6 @@ let () =
         [ qt prop_greedy_within_budget;
           qt prop_bnb_within_budget_and_beats_greedy;
           qt prop_bnb_exact_small;
-          Alcotest.test_case "knapsack exact" `Quick test_knapsack_exact;
-          Alcotest.test_case "knapsack rejects overlap" `Quick test_knapsack_rejects_overlap;
           qt prop_selection_no_conflicts ] );
       ( "curve",
         [ Alcotest.test_case "lms curve" `Quick test_curve_generation_lms;

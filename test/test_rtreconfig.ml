@@ -144,6 +144,33 @@ let prop_optimal_dominates =
       let o = u (Rtreconfig.Solvers.optimal t) in
       o <= d +. 1e-9 && d <= s +. 1e-9)
 
+let prop_static_matches_bruteforce =
+  QCheck.Test.make ~name:"static matches brute force over versions within max_area"
+    ~count:60
+    QCheck.(pair (int_range 0 10_000) (int_range 1 4))
+    (fun (seed, n) ->
+      let t = random_instance seed n in
+      let u p = Rtreconfig.Model.utilization t p in
+      (* every cross product of versions, all hardware in configuration 0 *)
+      let rec brute area version_of = function
+        | [] ->
+          if area > t.Rtreconfig.Model.max_area then infinity
+          else
+            u { Rtreconfig.Model.version_of;
+                config_of =
+                  List.filter_map
+                    (fun (name, j) -> if j > 0 then Some (name, 0) else None)
+                    version_of }
+        | (tk : Rtreconfig.Model.task) :: rest ->
+          let best = ref infinity in
+          Array.iteri
+            (fun j (v : Rtreconfig.Model.version) ->
+              best := Float.min !best (brute (area + v.area) ((tk.name, j) :: version_of) rest))
+            tk.versions;
+          !best
+      in
+      Float.abs (u (Rtreconfig.Solvers.static t) -. brute 0 [] t.tasks) < 1e-9)
+
 let prop_optimal_matches_bruteforce_2tasks =
   QCheck.Test.make ~name:"optimal matches brute force on 2-task instances"
     ~count:40
@@ -255,6 +282,7 @@ let () =
             test_reconfig_beats_static_when_area_tight;
           qt prop_solvers_feasible;
           qt prop_optimal_dominates;
+          qt prop_static_matches_bruteforce;
           qt prop_optimal_matches_bruteforce_2tasks ] );
       ( "simulation",
         [ Alcotest.test_case "single config loads once" `Quick test_sim_single_config_loads_once;

@@ -174,6 +174,96 @@ let prop_front_eps_covers_self =
       Util.Pareto_front.eps_covers ~eps:0. ~exact:f f)
 
 (* ------------------------------------------------------------------ *)
+(* Group knapsack                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Up to 4 groups of up to 4 options with integer-valued (so exactly
+   summed) float values, and up to 4 budgets in 0..40. *)
+let arb_knapsack =
+  let open QCheck.Gen in
+  let value = map float_of_int (int_range (-10) 10) in
+  let group =
+    map2
+      (fun v0 rest -> Array.of_list ((0, v0) :: rest))
+      value
+      (list_size (int_range 0 3) (pair (int_range 0 20) value))
+  in
+  let print_group g =
+    Array.to_list g
+    |> List.map (fun (a, v) -> Printf.sprintf "(%d,%g)" a v)
+    |> String.concat ";"
+  in
+  QCheck.make
+    ~print:(fun (groups, budgets) ->
+      Printf.sprintf "groups=[%s] budgets=[%s]"
+        (String.concat " | " (List.map print_group groups))
+        (String.concat ";" (List.map string_of_int budgets)))
+    (pair (list_size (int_range 0 4) group) (list_size (int_range 1 4) (int_range 0 40)))
+
+let brute_force_best groups ~budget =
+  let rec go area value = function
+    | [] -> if area <= budget then value else neg_infinity
+    | options :: rest ->
+      Array.fold_left
+        (fun best (a, v) -> Float.max best (go (area + a) (value +. v) rest))
+        neg_infinity options
+  in
+  go 0 0. groups
+
+let picked groups picks = List.map2 (fun options j -> options.(j)) groups picks
+
+let prop_knapsack_optimal =
+  QCheck.Test.make ~name:"group knapsack fits the budget and matches brute force"
+    ~count:500 arb_knapsack
+    (fun (groups, budgets) ->
+      let table = Util.Group_knapsack.solve ~budgets groups in
+      List.for_all
+        (fun budget ->
+          let chosen = picked groups (Util.Group_knapsack.pick table ~budget) in
+          Util.Numeric.sum_by fst chosen <= budget
+          && Util.Numeric.sum_byf snd chosen = brute_force_best groups ~budget)
+        budgets)
+
+let prop_knapsack_sweep_identity =
+  QCheck.Test.make ~name:"a multi-budget table picks as one-budget tables do"
+    ~count:500 arb_knapsack
+    (fun (groups, budgets) ->
+      let table = Util.Group_knapsack.solve ~budgets groups in
+      List.for_all
+        (fun budget ->
+          Util.Group_knapsack.pick table ~budget
+          = Util.Group_knapsack.pick
+              (Util.Group_knapsack.solve ~budgets:[ budget ] groups)
+              ~budget)
+        budgets)
+
+let test_knapsack_ties () =
+  (* equal totals at budget 4: options 0 and 1 of the first group, and
+     every option of the second *)
+  let table =
+    Util.Group_knapsack.solve ~budgets:[ 4 ]
+      [ [| (0, 1.); (2, 1.); (4, 0.) |]; [| (0, 2.); (2, 2.) |] ]
+  in
+  check Alcotest.(list int) "lowest index on ties" [ 0; 0 ]
+    (Util.Group_knapsack.pick table ~budget:4);
+  check int "cells" 6 (Util.Group_knapsack.cells table)
+
+let test_knapsack_rejects () =
+  let raises f =
+    match f () with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  let groups = [ [| (0, 0.); (3, 1.) |] ] in
+  check bool "negative budget" true
+    (raises (fun () -> Util.Group_knapsack.solve ~budgets:[ 4; -1 ] groups));
+  check bool "option 0 with area" true
+    (raises (fun () -> Util.Group_knapsack.solve ~budgets:[ 4 ] [ [| (1, 0.); (3, 1.) |] ]));
+  check bool "pick beyond the solved budgets" true
+    (raises (fun () ->
+         Util.Group_knapsack.pick (Util.Group_knapsack.solve ~budgets:[ 4 ] groups) ~budget:5))
+
+(* ------------------------------------------------------------------ *)
 (* Fixed point                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -236,6 +326,11 @@ let () =
           qt prop_front_nondominated;
           qt prop_front_covers;
           qt prop_front_eps_covers_self ] );
+      ( "knapsack",
+        [ Alcotest.test_case "ties keep the lowest index" `Quick test_knapsack_ties;
+          Alcotest.test_case "rejects bad input" `Quick test_knapsack_rejects;
+          qt prop_knapsack_optimal;
+          qt prop_knapsack_sweep_identity ] );
       ( "fixed",
         [ Alcotest.test_case "roundtrip" `Quick test_fixed_roundtrip;
           Alcotest.test_case "arithmetic" `Quick test_fixed_arith;
