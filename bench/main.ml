@@ -310,7 +310,7 @@ let batch_bench () =
   (* one cold run per pool width, each against a fresh memo and checked
      byte-for-byte against the sequential reference *)
   let cold_at jobs =
-    let memo = Engine.Memo.create ~shards:8 ~spill:false ~namespace:"bench" () in
+    let memo = Engine.Memo.create ~spill:false ~namespace:"bench" () in
     let (lines, stats), t =
       Experiments.Report.timed (fun () ->
           Engine.Parallel.Pool.with_pool ~jobs (fun pool ->
@@ -442,7 +442,7 @@ let daemon_bench () =
     Experiments.Report.timed (fun () ->
         Engine.Parallel.Pool.with_pool ~jobs:2 (fun pool ->
             S.run ~pool
-              ~memo:(Engine.Memo.create ~shards:8 ~spill:false ~namespace:"bench" ())
+              ~memo:(Engine.Memo.create ~spill:false ~namespace:"bench" ())
               requests))
   in
   if cold_lines <> seq_lines then begin
@@ -456,7 +456,7 @@ let daemon_bench () =
   Engine.Parallel.Pool.with_pool ~jobs:2 @@ fun pool ->
   let d =
     Daemon.Server.start ~unix_path:sock ~pool
-      ~memo:(Engine.Memo.create ~shards:8 ~spill:false ~namespace:"bench-daemon" ())
+      ~memo:(Engine.Memo.create ~spill:false ~namespace:"bench-daemon" ())
       ()
   in
   Fun.protect ~finally:(fun () -> Daemon.Server.stop d) @@ fun () ->

@@ -17,8 +17,8 @@
      cache show|clear             inspect / empty the persistent curve cache
      batch <requests.jsonl>       answer a JSONL stream of solver requests with
                                   structural dedup, budget-sweep sharing and
-                                  sharded memo tables; --connect sends the
-                                  stream to a resident daemon instead
+                                  a memo table; --connect sends the stream
+                                  to a resident daemon instead
      serve                        resident solver daemon: persistent JSONL
                                   connections over one warm memo and domain
                                   pool, admission control, graceful drain
@@ -641,7 +641,7 @@ let metrics_serve_cmd =
     Option.iter
       (fun p -> Format.eprintf "metrics: unix socket at %s@." p)
       unix_path;
-    let memo = Engine.Memo.create ~shards:4 ~namespace:"serve" () in
+    let memo = Engine.Memo.create ~namespace:"serve" () in
     with_jobs_pool jobs (fun pool ->
         let rec loop i =
           if iterations = 0 || i < iterations then begin
@@ -652,7 +652,6 @@ let metrics_serve_cmd =
               Experiments.Curves.warm ?pool names
             end;
             batch_round memo pool i;
-            Engine.Memo.observe_occupancy memo;
             if names = [] then Unix.sleepf 0.05;
             loop (i + 1)
           end
@@ -720,10 +719,6 @@ let batch_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"REQUESTS" ~doc)
   in
-  let shards_arg =
-    let doc = "Shards of the in-memory memo table." in
-    Arg.(value & opt int 8 & info [ "shards" ] ~docv:"N" ~doc)
-  in
   let out_arg =
     let doc = "Write response lines to $(docv) instead of standard output." in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
@@ -755,7 +750,7 @@ let batch_cmd =
          & opt (some string) None
          & info [ "connect" ] ~docv:"PATH|PORT" ~doc)
   in
-  let run obs no_cache stats_flag jobs shards out_file sequential connect file =
+  let run obs no_cache stats_flag jobs out_file sequential connect file =
     apply_no_cache no_cache;
     let lines =
       if file = "-" then read_lines stdin
@@ -774,8 +769,8 @@ let batch_cmd =
       match connect with
       | Some target ->
         (* one persistent connection, one rpc per request in input
-           order — the daemon owns the pool/memo, so --jobs/--shards
-           do not apply here *)
+           order — the daemon owns the pool and the memo, so --jobs
+           does not apply here *)
         let client =
           try
             match int_of_string_opt target with
@@ -805,7 +800,7 @@ let batch_cmd =
             if sequential then
               (List.map (fun (i, r) -> (i, Batch.Service.respond r)) oks, None)
             else begin
-              let memo = Engine.Memo.create ~shards ~namespace:"batch" () in
+              let memo = Engine.Memo.create ~namespace:"batch" () in
               let out, stats = Batch.Service.run ?pool ~memo (List.map snd oks) in
               (List.map2 (fun (i, _) line -> (i, line)) oks out, Some stats)
             end)
@@ -844,11 +839,11 @@ let batch_cmd =
        ~doc:"Answer a JSONL stream of solver requests as one batch: \
              canonicalize and hash every request, dedup exact duplicates, \
              share one DP across each budget sweep, run groups on the \
-             domain pool against sharded memo tables spilling to the \
+             domain pool against one memo table spilling to the \
              persistent cache.")
     Term.(
-      const run $ obs_term $ no_cache_arg $ stats_arg $ jobs_arg $ shards_arg
-      $ out_arg $ sequential_arg $ connect_arg $ file_arg)
+      const run $ obs_term $ no_cache_arg $ stats_arg $ jobs_arg $ out_arg
+      $ sequential_arg $ connect_arg $ file_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -880,10 +875,6 @@ let serve_cmd =
     let doc = "Serve /metrics, /healthz and /flight on a Unix socket at $(docv)." in
     Arg.(value & opt (some string) None
          & info [ "metrics-unix" ] ~docv:"PATH" ~doc)
-  in
-  let shards_arg =
-    let doc = "Shards of the shared in-memory memo table." in
-    Arg.(value & opt int 8 & info [ "shards" ] ~docv:"N" ~doc)
   in
   let max_inflight_arg =
     let doc =
@@ -984,7 +975,7 @@ let serve_cmd =
                | None -> base.Engine.Guard.deadline_s) } ))
       ops
   in
-  let run obs no_cache jobs shards max_inflight max_request_bytes idle_timeout
+  let run obs no_cache jobs max_inflight max_request_bytes idle_timeout
       line_timeout port unix_path metrics_port metrics_unix class_fuels
       class_deadlines =
     apply_no_cache no_cache;
@@ -1006,7 +997,7 @@ let serve_cmd =
     end;
     let opt_timeout s = if s = 0. then None else Some s in
     let classes = classes_of class_fuels class_deadlines in
-    let memo = Engine.Memo.create ~shards ~namespace:"daemon" () in
+    let memo = Engine.Memo.create ~namespace:"daemon" () in
     let stop_requested = Atomic.make false in
     let on_signal _ = Atomic.set stop_requested true in
     ignore (Sys.signal Sys.sigterm (Sys.Signal_handle on_signal));
@@ -1060,10 +1051,10 @@ let serve_cmd =
              ($(b,--max-inflight)), per-class budgets and a Prometheus \
              scrape surface.  SIGTERM/SIGINT drain gracefully.")
     Term.(
-      const run $ obs_term $ no_cache_arg $ jobs_arg $ shards_arg
-      $ max_inflight_arg $ max_request_bytes_arg $ idle_timeout_arg
-      $ line_timeout_arg $ port_arg $ unix_arg $ metrics_port_arg
-      $ metrics_unix_arg $ class_fuel_arg $ class_deadline_arg)
+      const run $ obs_term $ no_cache_arg $ jobs_arg $ max_inflight_arg
+      $ max_request_bytes_arg $ idle_timeout_arg $ line_timeout_arg $ port_arg
+      $ unix_arg $ metrics_port_arg $ metrics_unix_arg $ class_fuel_arg
+      $ class_deadline_arg)
 
 (* ------------------------------------------------------------------ *)
 

@@ -57,7 +57,7 @@ let stream_of (inst : Check.Instance.t) =
     specs
 
 let fresh_memo ?(spill = false) () =
-  Engine.Memo.create ~shards:3 ~spill ~namespace:"batch-prop" ()
+  Engine.Memo.create ~spill ~namespace:"batch-prop" ()
 
 let diff_lines a b =
   let rec go i = function

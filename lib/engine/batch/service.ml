@@ -274,7 +274,6 @@ let run ?pool ?memo reqs =
           ~payload:(R.parse (Hashtbl.find by_key p.Protocol.key)))
       prepared
   in
-  (match memo with Some m -> Engine.Memo.observe_occupancy m | None -> ());
   let stats =
     { requests = List.length prepared;
       unique = List.length uniq;

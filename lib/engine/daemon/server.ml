@@ -622,7 +622,6 @@ let stop t =
     Option.iter
       (fun p -> try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
       t.unix_path;
-    Option.iter Engine.Memo.observe_occupancy t.memo;
     Obs.Flight.record "daemon.drained"
       [ ("served", string_of_int (served t)) ];
     Engine.Log.info "daemon: drained, %d request(s) served" (served t)

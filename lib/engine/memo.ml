@@ -1,7 +1,6 @@
-type shard = { lock : Mutex.t; table : (string, string) Hashtbl.t }
-
 type t = {
-  shards : shard array;
+  lock : Mutex.t;
+  table : (string, string) Hashtbl.t;
   namespace : string;
   spill : bool;
   (* cache generation the resident entries were loaded under; a bump by
@@ -19,43 +18,24 @@ let () =
     Obs.Metrics.Counter "memo.misses";
   Obs.Metrics.declare ~help:"Memo stores by namespace"
     Obs.Metrics.Counter "memo.stores";
-  Obs.Metrics.declare ~help:"Entries resident per memo shard"
-    Obs.Metrics.Gauge "memo.shard_items";
   Obs.Metrics.declare
     ~help:"Memo tables dropped after a cache generation bump"
     Obs.Metrics.Counter "memo.invalidated"
 
-let create ?(shards = 16) ?(spill = true) ~namespace () =
-  if shards < 1 then invalid_arg "Memo.create: shards must be >= 1";
-  { shards =
-      Array.init shards (fun _ ->
-          { lock = Mutex.create (); table = Hashtbl.create 64 });
+let create ?(spill = true) ~namespace () =
+  { lock = Mutex.create ();
+    table = Hashtbl.create 64;
     namespace;
     spill;
     cache_gen = Atomic.make (if spill then Cache.generation () else 0) }
 
-(* FNV-1a; the shard index takes the top bits so keys sharing a long
-   common prefix (the "op-" discriminator) still spread. *)
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
-let shard_of t key =
-  let h = Int64.to_int (Int64.shift_right_logical (fnv64 key) 3) land max_int in
-  t.shards.(h mod Array.length t.shards)
-
-let with_lock s f =
-  Mutex.lock s.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
+let with_lock t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let find t ~key =
   let ns = [ ("namespace", t.namespace) ] in
-  let s = shard_of t key in
-  match with_lock s (fun () -> Hashtbl.find_opt s.table key) with
+  match with_lock t (fun () -> Hashtbl.find_opt t.table key) with
   | Some v ->
     Obs.Metrics.inc ~labels:ns "memo.hits";
     Some v
@@ -68,45 +48,20 @@ let find t ~key =
      | Some v ->
        Obs.Metrics.inc ~labels:ns "memo.hits";
        Obs.Metrics.inc ~labels:ns "memo.spill_hits";
-       with_lock s (fun () -> Hashtbl.replace s.table key v);
+       with_lock t (fun () -> Hashtbl.replace t.table key v);
        Some v
      | None ->
        Obs.Metrics.inc ~labels:ns "memo.misses";
        None)
 
 let store t ~key value =
-  let s = shard_of t key in
-  with_lock s (fun () -> Hashtbl.replace s.table key value);
+  with_lock t (fun () -> Hashtbl.replace t.table key value);
   Obs.Metrics.inc ~labels:[ ("namespace", t.namespace) ] "memo.stores";
   if t.spill then Cache.store ~namespace:t.namespace ~key value
 
-let find_or_compute t ~key f =
-  match find t ~key with
-  | Some v -> (v, true)
-  | None ->
-    let v = f () in
-    store t ~key v;
-    (v, false)
+let size t = with_lock t (fun () -> Hashtbl.length t.table)
 
-let shards t = Array.length t.shards
-
-let size t =
-  Array.fold_left
-    (fun acc s -> acc + with_lock s (fun () -> Hashtbl.length s.table))
-    0 t.shards
-
-let observe_occupancy t =
-  Array.iteri
-    (fun i s ->
-      let len = float_of_int (with_lock s (fun () -> Hashtbl.length s.table)) in
-      Obs.Metrics.observe "memo.shard_occupancy" len;
-      Obs.Metrics.set
-        ~labels:[ ("namespace", t.namespace); ("shard", string_of_int i) ]
-        "memo.shard_items" len)
-    t.shards
-
-let clear t =
-  Array.iter (fun s -> with_lock s (fun () -> Hashtbl.reset s.table)) t.shards
+let clear t = with_lock t (fun () -> Hashtbl.reset t.table)
 
 (* Cross-process coherence: resident entries were loaded (or computed)
    under some cache generation; if a sibling process bumped it (a
@@ -128,7 +83,7 @@ let revalidate t =
         [ ("namespace", t.namespace);
           ("generation", string_of_int g) ];
       Log.warn
-        "memo: cache generation moved to %d — dropped resident %s tables"
+        "memo: cache generation moved to %d — dropped resident %s table"
         g t.namespace;
       true
     end

@@ -38,6 +38,7 @@ val all : unit -> (string * Ir.Cfg.t) list
     ["g721decode"], ["3des"]). *)
 
 val find_opt : string -> Ir.Cfg.t option
+(** Builds only the named kernel; [None] for unknown names. *)
 
 val find : string -> Ir.Cfg.t
 (** Raises [Not_found] for unknown names; prefer {!find_opt}. *)

@@ -194,21 +194,46 @@ let test_run_sweep_edges () =
 (* ------------------------------------------------------------------ *)
 
 let test_memo_round_trip () =
-  let m = Engine.Memo.create ~shards:4 ~spill:false ~namespace:"test-memo" () in
+  let m = Engine.Memo.create ~spill:false ~namespace:"test-memo" () in
   check bool "miss" true (Engine.Memo.find m ~key:"a" = None);
   Engine.Memo.store m ~key:"a" "payload";
   check bool "hit" true (Engine.Memo.find m ~key:"a" = Some "payload");
-  let v, hit = Engine.Memo.find_or_compute m ~key:"a" (fun () -> assert false) in
-  check bool "find_or_compute hit" true (hit && v = "payload");
-  let v, hit = Engine.Memo.find_or_compute m ~key:"b" (fun () -> "fresh") in
-  check bool "find_or_compute miss computes" true ((not hit) && v = "fresh");
+  Engine.Memo.store m ~key:"b" "fresh";
   check int "resident entries" 2 (Engine.Memo.size m);
-  check int "shards" 4 (Engine.Memo.shards m);
   Engine.Memo.clear m;
-  check int "cleared" 0 (Engine.Memo.size m);
-  match Engine.Memo.create ~shards:0 ~namespace:"x" () with
-  | _ -> Alcotest.fail "accepted 0 shards"
-  | exception Invalid_argument _ -> ()
+  check int "cleared" 0 (Engine.Memo.size m)
+
+(* Four domains store and find overlapping keys through the one lock,
+   each walking all [keys] from its own offset so inserts (and table
+   resizes) race: every find sees the value stored for its key (values
+   are a function of the key, as in the batch service), and each key is
+   resident once. *)
+let test_memo_concurrent_domains () =
+  let m = Engine.Memo.create ~spill:false ~namespace:"test-memo-par" () in
+  let keys = 4000 in
+  let value k = Printf.sprintf "v%d" k in
+  let worker d () =
+    let bad = ref 0 in
+    for i = 0 to keys - 1 do
+      let k = ((d * keys / 4) + i) mod keys in
+      Engine.Memo.store m ~key:(string_of_int k) (value k);
+      let k' = (k + 37) mod keys in
+      match Engine.Memo.find m ~key:(string_of_int k') with
+      | Some v when v <> value k' -> incr bad
+      | _ -> ()
+    done;
+    !bad
+  in
+  let bad =
+    List.init 4 (fun d -> Domain.spawn (worker d))
+    |> List.fold_left (fun acc dom -> acc + Domain.join dom) 0
+  in
+  check int "finds return the stored value" 0 bad;
+  check int "one entry per distinct key" keys (Engine.Memo.size m);
+  for k = 0 to keys - 1 do
+    if Engine.Memo.find m ~key:(string_of_int k) <> Some (value k) then
+      Alcotest.failf "key %d lost or wrong" k
+  done
 
 let with_temp_cache f =
   let saved_dir = Engine.Cache.dir () in
@@ -228,15 +253,15 @@ let with_temp_cache f =
 
 let test_memo_spills_to_cache () =
   with_temp_cache @@ fun () ->
-  let m = Engine.Memo.create ~shards:2 ~spill:true ~namespace:"test-spill" () in
+  let m = Engine.Memo.create ~spill:true ~namespace:"test-spill" () in
   Engine.Memo.store m ~key:"k" "spilled";
-  (* a fresh memo has empty shards but finds the entry on disk and
+  (* a fresh memo has an empty table but finds the entry on disk and
      promotes it *)
-  let m2 = Engine.Memo.create ~shards:2 ~spill:true ~namespace:"test-spill" () in
+  let m2 = Engine.Memo.create ~spill:true ~namespace:"test-spill" () in
   check bool "spill hit" true (Engine.Memo.find m2 ~key:"k" = Some "spilled");
-  check int "promoted into the shard" 1 (Engine.Memo.size m2);
+  check int "promoted into the table" 1 (Engine.Memo.size m2);
   (* namespaces isolate *)
-  let m3 = Engine.Memo.create ~shards:2 ~spill:true ~namespace:"test-other" () in
+  let m3 = Engine.Memo.create ~spill:true ~namespace:"test-other" () in
   check bool "namespace isolation" true (Engine.Memo.find m3 ~key:"k" = None)
 
 (* ------------------------------------------------------------------ *)
@@ -248,7 +273,7 @@ let test_batch_equals_sequential_streams () =
     (fun inst ->
       let reqs = Batch.Props.stream_of inst in
       let sequential = List.map Batch.Service.respond reqs in
-      let memo = Engine.Memo.create ~shards:4 ~spill:false ~namespace:"test-svc" () in
+      let memo = Engine.Memo.create ~spill:false ~namespace:"test-svc" () in
       let batched, stats =
         Engine.Parallel.Pool.with_pool ~jobs:2 @@ fun pool ->
         Batch.Service.run ~pool ~memo reqs
@@ -302,7 +327,9 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_run_sweep_edges ] );
       ( "memo",
         [ Alcotest.test_case "round trip" `Quick test_memo_round_trip;
-          Alcotest.test_case "spill + promotion" `Quick test_memo_spills_to_cache ] );
+          Alcotest.test_case "spill + promotion" `Quick test_memo_spills_to_cache;
+          Alcotest.test_case "four domains, one lock" `Quick
+            test_memo_concurrent_domains ] );
       ( "service",
         [ Alcotest.test_case "batch ≡ sequential, cold and warm" `Slow
             test_batch_equals_sequential_streams;

@@ -48,7 +48,7 @@ let fresh_sock () =
        !sock_counter)
 
 let fresh_memo () =
-  Engine.Memo.create ~shards:4 ~spill:false ~namespace:"daemon-test" ()
+  Engine.Memo.create ~spill:false ~namespace:"daemon-test" ()
 
 (* Start a daemon on a fresh unix socket + a jobs:2 pool, run [f], and
    tear everything down whatever happens. *)

@@ -39,7 +39,7 @@ let requests () =
     (Lazy.force cases)
 
 let fresh_memo () =
-  Engine.Memo.create ~shards:4 ~spill:false ~namespace:"golden" ()
+  Engine.Memo.create ~spill:false ~namespace:"golden" ()
 
 let check_lines label actual =
   List.iteri

@@ -382,6 +382,44 @@ let test_dot_cfg () =
   check bool "loop backedge" true (contains dot "x4");
   check bool "labels blocks" true (contains dot "body")
 
+(* The structure of a CFG with each DFG spelled out node by node (a
+   [Dfg.t] holds a lazy reachability table, which [=] cannot compare). *)
+type shape =
+  | B of string * (Ir.Op.kind * int list * bool) list
+  | S of shape list
+  | I of shape * shape * shape
+  | L of int * shape
+
+let rec shape =
+  let block (b : Ir.Cfg.block) =
+    let d = b.body in
+    B
+      ( b.label,
+        List.map
+          (fun v -> (Ir.Dfg.kind d v, Ir.Dfg.preds d v, Ir.Dfg.live_out d v))
+          (Ir.Dfg.nodes d) )
+  in
+  function
+  | Ir.Cfg.Block b -> block b
+  | Seq ss -> S (List.map shape ss)
+  | If (c, t, e) -> I (block c, shape t, shape e)
+  | Loop (n, s) -> L (n, shape s)
+
+(* Kernels.find builds only the named kernel; it must build exactly the
+   kernel [all] lists under that name, and every name is the one the
+   constructor puts in [cfg.name]. *)
+let test_kernels_find_matches_all () =
+  let all = Kernels.all () in
+  check int "22 kernels" 22 (List.length all);
+  List.iter
+    (fun (n, (cfg : Ir.Cfg.t)) ->
+      let found = Kernels.find n in
+      check Alcotest.string "key is cfg.name" n cfg.name;
+      check Alcotest.string ("find name " ^ n) n found.name;
+      check bool ("find " ^ n) true (shape found.code = shape cfg.code))
+    all;
+  check bool "unknown" true (Kernels.find_opt "nope" = None)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ir"
@@ -422,4 +460,7 @@ let () =
           Alcotest.test_case "software filtering" `Quick test_trace_pair_counts_filters_software;
           Alcotest.test_case "reconfiguration replay" `Quick test_trace_reconfigurations;
           Alcotest.test_case "repeat" `Quick test_trace_repeat;
-          qt prop_reconfig_le_trace_length ] ) ]
+          qt prop_reconfig_le_trace_length ] );
+      ( "kernels",
+        [ Alcotest.test_case "find builds the kernel all lists" `Quick
+            test_kernels_find_matches_all ] ) ]

@@ -444,7 +444,7 @@ let contract =
 
 let test_family_contract () =
   let memo =
-    Engine.Memo.create ~shards:2 ~spill:false ~namespace:"contract" ()
+    Engine.Memo.create ~spill:false ~namespace:"contract" ()
   in
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())

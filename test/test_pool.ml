@@ -215,7 +215,7 @@ let test_batch_service_through_pool () =
   let inst = Check.Gen.instance (Util.Prng.create 2026) in
   let reqs = Batch.Props.stream_of inst in
   let sequential = List.map Batch.Service.respond reqs in
-  let memo = Engine.Memo.create ~shards:4 ~spill:false ~namespace:"test-pool" () in
+  let memo = Engine.Memo.create ~spill:false ~namespace:"test-pool" () in
   let batched, _ =
     Pool.with_pool ~jobs:4 @@ fun pool -> Batch.Service.run ~pool ~memo reqs
   in

@@ -280,7 +280,7 @@ let test_clear_bumps_generation () =
 
 let test_memo_revalidate_drops_on_bump () =
   with_scratch_cache @@ fun () ->
-  let m = Engine.Memo.create ~shards:2 ~spill:true ~namespace:"coherence" () in
+  let m = Engine.Memo.create ~spill:true ~namespace:"coherence" () in
   Engine.Memo.store m ~key:"k" "v";
   check int "entry resident" 1 (Engine.Memo.size m);
   check bool "no bump, no drop" false (Engine.Memo.revalidate m);
@@ -294,7 +294,7 @@ let test_memo_revalidate_drops_on_bump () =
     (Engine.Memo.find m ~key:"k" = Some "v");
   check bool "second probe is quiet" false (Engine.Memo.revalidate m);
   let no_spill =
-    Engine.Memo.create ~shards:2 ~spill:false ~namespace:"coherence" ()
+    Engine.Memo.create ~spill:false ~namespace:"coherence" ()
   in
   ignore (Engine.Cache.bump_generation () : int);
   check bool "no-spill memo has nothing shared to go stale" false
